@@ -262,7 +262,7 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 		opts:  opts,
 		procs: make([]Proc, n),
 		ctxs:  make([]*Context, n),
-		ids:   permutedIDs(n, opts.Seed),
+		ids:   permutedIDs(nil, n, opts.Seed),
 		csr:   csr,
 	}
 	net.frameBits = opts.FrameBits
@@ -308,12 +308,18 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 
 // permutedIDs assigns each node a distinct O(log n)-bit protocol ID via a
 // seeded permutation, so that ID order is uncorrelated with node index.
-func permutedIDs(n int, seed int64) []int64 {
+// It is rand.Perm's loop — the same Intn(i+1) draws and swaps — writing
+// the IDs straight into dst, which is reallocated only when too small.
+func permutedIDs(dst []int64, n int, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed ^ 0x1dfa_c0de))
-	perm := rng.Perm(n)
-	ids := make([]int64, n)
-	for i, p := range perm {
-		ids[i] = int64(p)
+	if cap(dst) < n {
+		dst = make([]int64, n)
+	}
+	ids := dst[:n]
+	for i := range ids {
+		j := rng.Intn(i + 1)
+		ids[i] = ids[j]
+		ids[j] = int64(i)
 	}
 	return ids
 }
@@ -654,8 +660,5 @@ func (net *Network) parallelNodes(n int, fn func(i int)) {
 
 // splitSeed derives independent per-node seeds (splitmix64 finalizer).
 func splitSeed(seed, node int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(node+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(mix64(uint64(seed) + golden*uint64(node+1)))
 }

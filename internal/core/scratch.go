@@ -14,55 +14,46 @@ import (
 // components without measurable polling overhead.
 const seqCtxCheckEvery = 64
 
-// seqScratch is the reusable per-run state of the centralized engines.
-// The dominant allocation of a run on an n-node graph is the bank of n
-// per-node RNG streams (two allocations each); the frontier engine and
-// the cached search probes add the traversal scratch (frontier bitsets
-// and seed-membership words) and three sample-sized bitsets, all sized
-// by the graph, none by the run. The K/T kernel's buffers and voter
-// index are sized by the largest component seen instead, never by n.
-// Batch serving solves many graphs back
-// to back, often concurrently, so the scratch lives in a sync.Pool:
-// each in-flight run owns one scratch exclusively, and parallel
-// SolveBatch workers draw distinct instances.
+// seqScratch is the reusable per-run state of the centralized replay and
+// the cached search. The graph-sized part is the coin bank and the
+// protocol-ID permutation (one word per node each, no pointers), the
+// cluster kernels' traversal scratch, the per-version sample set, and
+// the mark set that dedups a component's voters. The mark set is
+// all-zero between components, and the search probes borrow it for
+// their density check on the same terms. The K/T kernel's buffers and
+// voter index are sized by the largest component seen instead, never by
+// n. Batch serving solves many graphs back to back, often concurrently,
+// so the scratch lives in a sync.Pool: each in-flight run owns one
+// scratch exclusively, and parallel SolveBatch workers draw distinct
+// instances.
 type seqScratch struct {
-	bank *congest.RandBank
+	coins congest.CoinBank
+	ids   []int64
 
-	// Frontier-engine state, sized lazily by frontierSets: the kernel
-	// scratch plus the per-version sample set and the per-component
-	// member/voter sets the EdgeMap waves read and write.
-	fsc       *frontier.Scratch
-	setsN     int
-	inS       *bitset.Set
-	memberSet *bitset.Set
-	voterSet  *bitset.Set
+	fsc      *frontier.Scratch
+	inS      *bitset.Set
+	mark     *bitset.Set
+	voterBuf []int
 
 	kt ktScratch
 }
 
-// frontierSets sizes the frontier-side scratch for an n-vertex graph
-// and returns it with every bitset cleared.
-func (s *seqScratch) frontierSets(n int) *frontier.Scratch {
+// sizeFor sizes the graph-sized scratch for an n-vertex graph. The mark
+// set stays all-zero across runs; inS is cleared by every version.
+func (s *seqScratch) sizeFor(n int) {
 	if s.fsc == nil {
 		s.fsc = frontier.NewScratch(n)
 	} else {
 		s.fsc.Ensure(n)
 	}
-	if s.setsN != n || s.inS == nil {
-		s.setsN = n
+	if s.inS == nil || s.inS.Len() != n {
 		s.inS = bitset.New(n)
-		s.memberSet = bitset.New(n)
-		s.voterSet = bitset.New(n)
-	} else {
-		s.inS.Clear()
-		s.memberSet.Clear()
-		s.voterSet.Clear()
+		s.mark = bitset.New(n)
 	}
-	return s.fsc
 }
 
 var seqScratchPool = sync.Pool{
-	New: func() interface{} { return &seqScratch{bank: &congest.RandBank{}} },
+	New: func() interface{} { return new(seqScratch) },
 }
 
 func getSeqScratch() *seqScratch  { return seqScratchPool.Get().(*seqScratch) }

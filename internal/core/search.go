@@ -78,8 +78,9 @@ var ErrNotFound = errors.New("core: no near-clique of the requested size found a
 
 // SearchMinEpsilon bisects over ε and returns the smallest probed ε at
 // which the algorithm reports an ε-near clique of size ≥ ρn, together with
-// that run's result. Probes use FindSequential (the two implementations
-// are equivalent; the sequential one is cheaper).
+// that run's result. Each probe is one full FindSequential run, the
+// centralized replay; SearchFrontierContext returns the same ε and
+// Result from one traversal shared by all probes.
 func SearchMinEpsilon(g *graph.Graph, so SearchOptions) (float64, *Result, error) {
 	return SearchContext(context.Background(), g, so)
 }

@@ -92,7 +92,7 @@ type searchCache struct {
 	kt        *ktScratch
 	acked     []int32     // per-probe ack counters, indexed like comps
 	members   []int       // per-probe buffer for the density check
-	memberSet *bitset.Set // n-bit pooled set for the density check, empty between probes
+	memberSet *bitset.Set // the scratch's n-bit mark set, lent to the density check; empty between probes
 }
 
 // buildSearchCache runs the shared traversal and captures everything a
@@ -123,8 +123,7 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 		return nil, err
 	}
 	c.comps = comps
-	c.memberSet = scratch.memberSet
-	c.memberSet.Clear()
+	c.memberSet = scratch.mark
 
 	// Decision-stage adjacency, built in first-appearance order (a
 	// deterministic order, though none is needed: ack counting is

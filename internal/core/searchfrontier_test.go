@@ -114,39 +114,46 @@ func TestSearchWithRunnerEngineParity(t *testing.T) {
 }
 
 // TestFindFrontierMatchesSequentialAcrossGOMAXPROCS extends the engine
-// determinism suite to the frontier engine: bit-identical transcripts —
-// including the (all-zero) metrics block — against the sequential
-// reference at every GOMAXPROCS setting.
+// determinism suite to the replay every centralized Solve engine runs:
+// at every GOMAXPROCS setting its outputs equal the sharded simulator's,
+// and its transcript, including the all-zero metrics block, is
+// bit-identical.
 func TestFindFrontierMatchesSequentialAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	base := Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 2}
 	for name, g := range determinismInstances() {
-		seq, err := FindSequential(g, base)
+		dist, err := Find(g, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := resultTranscript(seq, true)
+		want := resultTranscript(dist, false)
+		var full string
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			res, err := FindFrontier(g, base)
+			res, err := FindSequential(g, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := resultTranscript(res, true); got != want {
-				t.Fatalf("%s GOMAXPROCS=%d: frontier transcript diverges from sequential:\n%s\nvs\n%s",
+			if got := resultTranscript(res, false); got != want {
+				t.Fatalf("%s GOMAXPROCS=%d: replay diverges from the simulator:\n%s\nvs\n%s",
 					name, procs, got, want)
+			}
+			if got := resultTranscript(res, true); full == "" {
+				full = got
+			} else if got != full {
+				t.Fatalf("%s GOMAXPROCS=%d: replay transcript differs from GOMAXPROCS=1", name, procs)
 			}
 		}
 	}
 }
 
 // TestFindFrontierFlightRoundEvents pins the flight contract of the
-// engine: every traversal wave emits one KindRound event carrying a
+// replay: every traversal wave emits one KindRound event carrying a
 // nonzero frontier popcount, and phases carry their wave counts.
 func TestFindFrontierFlightRoundEvents(t *testing.T) {
 	g := gen.SparsePlantedNearClique(400, 120, 0.01, 8, 5).Graph
 	rec := flight.New(4096)
-	_, err := FindFrontier(g, Options{
+	_, err := FindSequential(g, Options{
 		Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 2, Flight: rec,
 	})
 	if err != nil {
@@ -178,10 +185,10 @@ func TestFindFrontierFlightRoundEvents(t *testing.T) {
 		}
 	}
 	if rounds == 0 {
-		t.Fatal("frontier run emitted no per-wave round events")
+		t.Fatal("replay emitted no per-wave round events")
 	}
 	if phases < 3 { // two explore versions + decide
-		t.Fatalf("frontier run emitted %d phase events, want ≥ 3", phases)
+		t.Fatalf("replay emitted %d phase events, want ≥ 3", phases)
 	}
 }
 

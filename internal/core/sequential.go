@@ -3,19 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
-	"nearclique/internal/bitset"
 	"nearclique/internal/congest"
 	"nearclique/internal/flight"
+	"nearclique/internal/frontier"
 	"nearclique/internal/graph"
 )
 
 // FindSequential runs the identical algorithm centrally: same coin flips
-// (per-node RNG streams derived exactly as the simulator derives them),
-// same component structure, same subset enumeration, thresholds, argmax,
-// and voting rules. Its output is bit-for-bit equal to Find's on the same
-// inputs (asserted by the equivalence tests), and it scales further
-// because no messages are simulated.
+// (per-node counter streams derived exactly as the simulator derives
+// them), same component structure, same subset enumeration, thresholds,
+// argmax, and voting rules. Its output is bit-for-bit equal to Find's on
+// the same inputs (asserted by the equivalence tests), and it scales
+// further because no messages are simulated. Like the protocol it
+// replays, it is local: a version costs O(n) for the coins plus, per
+// sampled component, work proportional to its members' neighborhoods.
 //
 // Options.MaxRounds is ignored (there are no rounds); everything else
 // behaves as in Find.
@@ -30,19 +33,24 @@ func FindSequential(g *graph.Graph, opts Options) (*Result, error) {
 // returned Result carries whatever sample sizes were measured before the
 // interruption, with all-⊥ labels.
 //
-// Per-run scratch state (the n per-node RNG streams) is drawn from a
-// package-level pool, so repeated solves — in particular concurrent batch
-// serving over shared immutable graphs — do not reallocate it. Pooling is
-// invisible in the outputs: re-keyed streams are bit-identical to fresh
-// ones.
+// Components are discovered by 64-seed cluster floods over the CSR arena
+// (internal/frontier). With Options.Flight set, the replay emits one
+// flight.KindRound event per traversal wave — the wave's frontier
+// population and the arena entries it examined — plus one KindPhase per
+// boosting version and for the decision stage. The simulator Metrics
+// stay zero: nothing is simulated.
+//
+// Per-run scratch (the coin bank, the ID permutation, the traversal
+// sets) is drawn from a package-level pool, so repeated solves — in
+// particular concurrent batch serving over shared immutable graphs — do
+// not reallocate it. Pooling is invisible in the outputs: re-keyed
+// streams are bit-identical to fresh ones.
 func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	opts, err := opts.validated(g.N())
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
-	ids := congest.PermutedIDs(n, opts.Seed)
-
 	res := &Result{
 		Labels:      make([]int64, n),
 		SampleSizes: make([]int, opts.Versions),
@@ -51,101 +59,22 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 		res.Labels[i] = NoLabel
 	}
 
-	// Persistent per-node RNGs: version j draws the (2j+1)-th and
-	// (2j+2)-th floats of each node's stream, exactly as the distributed
-	// nodes do (the same counter-based streams Context.Rand hands out).
-	// The bank comes from the scratch pool; see seqScratch.
 	scratch := getSeqScratch()
 	defer putSeqScratch(scratch)
-	rngs := scratch.bank.Rands(opts.Seed, n)
 
-	// The sequential replay simulates no rounds, so its flight trace is
-	// phase summaries only: one per boosting version (Frontier carries the
-	// version's sample size |S|) plus one for the decision stage, each
-	// with the live-heap delta across the step.
-	recordStep := func(name string, frontier int) {}
-	if opts.Flight != nil {
-		heapMark := flight.HeapBytes()
-		recordStep = func(name string, frontier int) {
-			now := flight.HeapBytes()
-			ord := opts.Flight.BeginPhase(name)
-			opts.Flight.Record(flight.Event{
-				Kind:      flight.KindPhase,
-				Phase:     ord,
-				Frontier:  int32(frontier),
-				HeapDelta: now - heapMark,
-			})
-			heapMark = now
-		}
-	}
-
-	var comps []*seqComp
-	p1 := opts.P / 2
-	p2 := 0.0
-	if p1 < 1 {
-		p2 = (opts.P - p1) / (1 - p1)
-	}
-
-	for ver := 0; ver < opts.Versions; ver++ {
-		if err := ctx.Err(); err != nil {
-			return res, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
-		}
-		inS := bitset.New(n)
-		for v := 0; v < n; v++ {
-			c1 := rngs[v].Float64() < p1
-			c2 := rngs[v].Float64() < p2
-			if c1 || c2 {
-				inS.Add(v)
-			}
-		}
-		res.SampleSizes[ver] = inS.Count()
-
-		for ci, members := range g.ComponentsOf(inS) {
-			if ci%seqCtxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return res, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
-				}
-			}
-			if len(members) > res.MaxComponent {
-				res.MaxComponent = len(members)
-			}
-			if len(members) > opts.MaxComponentSize {
-				return res, fmt.Errorf("%w: %d > %d (lower the sampling probability)",
-					ErrComponentTooLarge, len(members), opts.MaxComponentSize)
-			}
-			sc := newSeqComp(ids, members, ver)
-
-			// Voters: all members plus every non-sampled neighbor of a
-			// member — exactly the tree nodes and claimants of the
-			// distributed protocol.
-			memberSet := bitset.FromIndices(n, members)
-			voters := bitset.New(n)
-			voters.Union(memberSet)
-			for _, m := range members {
-				for _, w := range g.Neighbors(m) {
-					if !inS.Contains(int(w)) {
-						voters.Add(int(w))
-					}
-				}
-			}
-			sc.voters = voters.Indices()
-			sc.buildKT(g, &scratch.kt)
-			sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
-			comps = append(comps, sc)
-		}
-		recordStep(fmt.Sprintf("v%d/explore", ver), res.SampleSizes[ver])
-		if opts.Progress != nil {
-			opts.Progress(Progress{
-				Version: ver, Phase: fmt.Sprintf("v%d/explore", ver),
-				Step: ver + 1, Total: opts.Versions + 1,
-			})
-		}
+	ft := newFlightTrace(opts.Flight)
+	comps, err := collectComps(ctx, g, opts, scratch, ft, res, func(sc *seqComp) {
+		sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
+	})
+	if err != nil {
+		return res, err
 	}
 
 	// Decision stage: every voter acks its best adjacent candidate and
 	// aborts the rest; a candidate commits iff no adjacent voter aborted.
+	ft.begin("decide")
 	decideAndCommit(g, opts, comps, res)
-	recordStep("decide", len(comps))
+	ft.end(len(comps))
 	if opts.Progress != nil {
 		opts.Progress(Progress{
 			Version: -1, Phase: "decide",
@@ -153,6 +82,99 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 		})
 	}
 	return res, nil
+}
+
+// collectComps runs the ε-invariant half of a replay: the sampling coins
+// (version j draws the (2j+1)-th and (2j+2)-th floats of each node's
+// stream, exactly as the distributed nodes do), 64-seed batched
+// component discovery, each component's voters, and its ε-invariant K/T
+// kernel tables. visit observes each component in transcript order — the
+// solve finishes thresholds there, the search cache defers them to its
+// probes. Shared so that a solve and a search probe provably traverse
+// identically.
+func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) ([]*seqComp, error) {
+	n := g.N()
+	scratch.sizeFor(n)
+	scratch.ids = congest.PermutedIDsInto(scratch.ids, n, opts.Seed)
+	scratch.coins.Reset(opts.Seed, n)
+	ids, coins, inS := scratch.ids, &scratch.coins, scratch.inS
+
+	p1 := opts.P / 2
+	p2 := 0.0
+	if p1 < 1 {
+		p2 = (opts.P - p1) / (1 - p1)
+	}
+
+	var comps []*seqComp
+	for ver := 0; ver < opts.Versions; ver++ {
+		if err := ctx.Err(); err != nil {
+			return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
+		}
+		ft.begin(fmt.Sprintf("v%d/explore", ver))
+		inS.Clear()
+		for v := 0; v < n; v++ {
+			c1 := coins.Float64(v) < p1
+			c2 := coins.Float64(v) < p2
+			if c1 || c2 {
+				inS.Add(v)
+			}
+		}
+		res.SampleSizes[ver] = inS.Count()
+
+		for ci, members := range frontier.Components(g, inS, scratch.fsc, ft.onWave()) {
+			if ci%seqCtxCheckEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
+				}
+			}
+			if len(members) > res.MaxComponent {
+				res.MaxComponent = len(members)
+			}
+			if len(members) > opts.MaxComponentSize {
+				return comps, fmt.Errorf("%w: %d > %d (lower the sampling probability)",
+					ErrComponentTooLarge, len(members), opts.MaxComponentSize)
+			}
+			sc := newSeqComp(ids, members, ver)
+			sc.voters = scratch.gatherVoters(g, members)
+			sc.buildKT(g, &scratch.kt)
+
+			visit(sc)
+			comps = append(comps, sc)
+		}
+		ft.end(res.SampleSizes[ver])
+		if opts.Progress != nil {
+			opts.Progress(Progress{
+				Version: ver, Phase: fmt.Sprintf("v%d/explore", ver),
+				Step: ver + 1, Total: opts.Versions + 1,
+			})
+		}
+	}
+	return comps, nil
+}
+
+// gatherVoters returns a component's voters: its members plus every
+// unsampled neighbor of a member — exactly the tree nodes and claimants
+// of the distributed protocol — sorted ascending, the order the K/T
+// kernel numbers its mask classes in. Only the members' rows are read:
+// the mark set keeps a neighbor shared by several members from being
+// listed twice, and exactly the bits set here are cleared again, so a
+// component costs O(Σ deg(members) + |voters| log |voters|), never O(n).
+func (s *seqScratch) gatherVoters(g *graph.Graph, members []int) []int {
+	buf := append(s.voterBuf[:0], members...)
+	for _, m := range members {
+		for _, w := range g.Neighbors(m) {
+			if u := int(w); !s.inS.Contains(u) && !s.mark.Contains(u) {
+				s.mark.Add(u)
+				buf = append(buf, u)
+			}
+		}
+	}
+	for _, u := range buf[len(members):] {
+		s.mark.Remove(u)
+	}
+	slices.Sort(buf)
+	s.voterBuf = buf
+	return slices.Clone(buf)
 }
 
 // seqComp is the sequential mirror of one sampled component Si.
@@ -168,4 +190,70 @@ type seqComp struct {
 	tcounts []int32
 	bStar   int32
 	size    int32 // announced |T|; 0 = no candidate
+}
+
+// flightTrace adapts the flight recorder to the replay's event stream:
+// one KindRound per traversal wave (Frontier = wave population, Frames =
+// arena entries examined, Bytes = the 4-byte targets those loads moved),
+// one KindPhase per boosting version plus the decision stage, with heap
+// deltas sampled only at phase boundaries like every other engine. A nil
+// *flightTrace is valid and free: every method no-ops, so the hot path
+// carries no recorder branches of its own.
+type flightTrace struct {
+	rec    *flight.Recorder
+	heap   int64
+	ord    int32
+	rounds int64 // cumulative wave index across the run
+	phaseW int64 // waves within the current phase
+	waveFn func(pop int, examined int64)
+}
+
+func newFlightTrace(rec *flight.Recorder) *flightTrace {
+	if rec == nil {
+		return nil
+	}
+	ft := &flightTrace{rec: rec, heap: flight.HeapBytes(), ord: -1}
+	ft.waveFn = func(pop int, examined int64) {
+		ft.rounds++
+		ft.phaseW++
+		ft.rec.Record(flight.Event{
+			Kind:     flight.KindRound,
+			Phase:    ft.ord,
+			Round:    ft.rounds,
+			Frontier: int32(pop),
+			Frames:   examined,
+			Bytes:    4 * examined,
+		})
+	}
+	return ft
+}
+
+func (ft *flightTrace) begin(name string) {
+	if ft == nil {
+		return
+	}
+	ft.ord = ft.rec.BeginPhase(name)
+	ft.phaseW = 0
+}
+
+func (ft *flightTrace) end(frontierSize int) {
+	if ft == nil {
+		return
+	}
+	now := flight.HeapBytes()
+	ft.rec.Record(flight.Event{
+		Kind:      flight.KindPhase,
+		Phase:     ft.ord,
+		Round:     ft.phaseW,
+		Frontier:  int32(frontierSize),
+		HeapDelta: now - ft.heap,
+	})
+	ft.heap = now
+}
+
+func (ft *flightTrace) onWave() func(pop int, examined int64) {
+	if ft == nil {
+		return nil
+	}
+	return ft.waveFn
 }

@@ -11,7 +11,7 @@ import (
 // two frontier bitsets, the per-vertex seed-membership words, and the
 // frozen previous-wave words the direction-optimized waves read from.
 // A Scratch serves one traversal at a time (callers pool whole
-// instances, as with congest.RandBank); Components leaves the words
+// instances); Components leaves the words
 // array all-zero again on return, so a Scratch is reusable without a
 // O(n) reset.
 type Scratch struct {

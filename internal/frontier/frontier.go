@@ -1,18 +1,19 @@
-// Package frontier implements direction-optimizing frontier traversal
-// kernels over the shared CSR arena: Ligra-style EdgeMap with a
-// push/pull switch, and a ClusterBFS-style flood that carries a 64-bit
-// seed-membership word per vertex so one pass over the arena serves 64
-// seeds at once. The engines use it to batch the per-version component
-// discovery of DistNearClique's exploration stage and the per-probe
-// work of the ε bisection.
+// Package frontier implements direction-optimizing traversal kernels
+// over the shared CSR arena: a ClusterBFS-style flood that carries a
+// 64-bit seed-membership word per vertex so one pass over the arena
+// serves 64 seeds at once, switching each wave between push and pull by
+// Ligra's rule, and a batched one-hop Neighborhoods fetch. The
+// centralized replay uses it to batch the per-version component
+// discovery of DistNearClique's exploration stage, and the refiner to
+// prefetch its grow pools.
 //
-// Determinism: every kernel's output is a bitset or a per-vertex word
-// accumulated with OR — commutative, associative, idempotent — so the
-// result is independent of visit order and of the push/pull direction
-// chosen for a wave. Direction switching changes how many arena entries
-// are examined, never which bits end up set; the fuzz and property
-// suites pin push ≡ pull on random frontiers. The package draws no
-// randomness and reads no clocks.
+// Determinism: every kernel's output is a per-vertex word accumulated
+// with OR, or a copy of arena rows — commutative, associative,
+// idempotent — so the result is independent of visit order and of the
+// push/pull direction chosen for a wave. Direction switching changes how
+// many arena entries are examined, never which bits end up set; the
+// property suites pin this on graphs dense and sparse enough to take
+// both directions. The package draws no randomness and reads no clocks.
 package frontier
 
 import (
@@ -22,13 +23,11 @@ import (
 	"nearclique/internal/graph"
 )
 
-// DenseFraction is the Ligra threshold divisor: a wave switches from
+// DenseFraction is the Ligra threshold divisor: a kernel switches from
 // push (iterate the frontier, scan its adjacency rows) to pull (iterate
-// the candidate vertices, probe for a frontier neighbor) when the
-// frontier's outgoing arena entries |Ef| exceed a 1/DenseFraction
-// fraction of all arena entries. 20 is Ligra's published constant; at
-// that density the pull side's early exit wins despite scanning the
-// whole candidate set.
+// the candidate vertices, scan theirs) when the frontier's outgoing
+// arena entries |Ef| exceed a 1/DenseFraction fraction of the entries a
+// pull pass would scan. 20 is Ligra's published constant.
 const DenseFraction = 20
 
 // FrontierEdges returns |Ef| = Σ_{v∈front} deg(v) — the outgoing arena
@@ -46,73 +45,4 @@ func FrontierEdges(g *graph.Graph, front *bitset.Set) (edges int64, pop int) {
 		}
 	})
 	return edges, pop
-}
-
-// EdgeMap computes next = Γ(front) \ visited in one wave over the
-// arena, clearing next first; front and visited are read-only. It
-// returns the number of arena entries examined and whether the wave
-// pulled. The direction is chosen by the Ligra rule (see
-// DenseFraction); both directions produce the identical next set — the
-// wave's output is defined set-algebraically, not procedurally.
-func EdgeMap(g *graph.Graph, front, visited, next *bitset.Set) (examined int64, pulled bool) {
-	next.Clear()
-	ef, _ := FrontierEdges(g, front)
-	if ef > int64(2*g.M())/DenseFraction {
-		return edgeMapPull(g, front, visited, next), true
-	}
-	return edgeMapPush(g, front, visited, next), false
-}
-
-// edgeMapPush scans the adjacency row of every frontier vertex and
-// marks unvisited targets. Marking is an idempotent bitset Add, so
-// duplicate discoveries (two frontier vertices sharing a neighbor) are
-// harmless and order-free.
-func edgeMapPush(g *graph.Graph, front, visited, next *bitset.Set) int64 {
-	offsets, targets := g.Arena()
-	var examined int64
-	front.ForEachWord(func(wi int, w uint64) {
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			v := base + bits.TrailingZeros64(w)
-			row := targets[offsets[v]:offsets[v+1]]
-			examined += int64(len(row))
-			for _, t := range row {
-				u := int(t)
-				if !visited.Contains(u) {
-					next.Add(u)
-				}
-			}
-		}
-	})
-	return examined
-}
-
-// edgeMapPull scans every unvisited vertex and probes its row for a
-// frontier member, exiting the row at the first hit — the asymmetry
-// that makes pull cheaper than push on dense waves. Early exit changes
-// the examined count only; membership in next is "has a frontier
-// neighbor", identical to what push computes.
-func edgeMapPull(g *graph.Graph, front, visited, next *bitset.Set) int64 {
-	offsets, targets := g.Arena()
-	n := g.N()
-	var examined int64
-	for wi, words := 0, visited.WordCount(); wi < words; wi++ {
-		cand := ^visited.Word(wi)
-		base := wi * 64
-		for ; cand != 0; cand &= cand - 1 {
-			u := base + bits.TrailingZeros64(cand)
-			if u >= n {
-				break
-			}
-			row := targets[offsets[u]:offsets[u+1]]
-			for _, t := range row {
-				examined++
-				if front.Contains(int(t)) {
-					next.Add(u)
-					break
-				}
-			}
-		}
-	}
-	return examined
 }

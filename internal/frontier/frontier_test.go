@@ -37,102 +37,6 @@ func randomSubset(n int, density float64, seed int64) *bitset.Set {
 	return s
 }
 
-// naiveEdgeMap is the set-algebraic model: Γ(front) \ visited.
-func naiveEdgeMap(g *graph.Graph, front, visited *bitset.Set) *bitset.Set {
-	next := bitset.New(g.N())
-	front.ForEach(func(v int) {
-		for _, t := range g.Neighbors(v) {
-			if !visited.Contains(int(t)) {
-				next.Add(int(t))
-			}
-		}
-	})
-	return next
-}
-
-func TestEdgeMapPushPullEquivalence(t *testing.T) {
-	for trial := int64(0); trial < 30; trial++ {
-		n := 20 + int(trial)*7
-		g := randomGraph(n, 0.02+float64(trial)*0.02, trial)
-		front := randomSubset(n, 0.05+float64(trial%10)*0.09, trial+100)
-		visited := randomSubset(n, 0.3, trial+200)
-		want := naiveEdgeMap(g, front, visited)
-
-		push := bitset.New(n)
-		edgeMapPush(g, front, visited, push)
-		pull := bitset.New(n)
-		edgeMapPull(g, front, visited, pull)
-		auto := bitset.New(n)
-		EdgeMap(g, front, visited, auto)
-
-		for v := 0; v < n; v++ {
-			if push.Contains(v) != want.Contains(v) {
-				t.Fatalf("trial %d: push bit %d != model", trial, v)
-			}
-			if pull.Contains(v) != want.Contains(v) {
-				t.Fatalf("trial %d: pull bit %d != model", trial, v)
-			}
-			if auto.Contains(v) != want.Contains(v) {
-				t.Fatalf("trial %d: EdgeMap bit %d != model", trial, v)
-			}
-		}
-	}
-}
-
-// FuzzEdgeMap pins push ≡ pull on fuzz-generated graphs and frontiers:
-// same next set, always — only the examined count may differ.
-func FuzzEdgeMap(f *testing.F) {
-	f.Add(uint8(12), []byte{1, 2, 3, 4, 9, 30}, []byte{0, 1}, []byte{2})
-	f.Add(uint8(40), []byte{0, 1, 0, 2, 0, 3, 1, 2}, []byte{0}, []byte{})
-	f.Fuzz(func(t *testing.T, nRaw uint8, edges, frontRaw, visitedRaw []byte) {
-		n := 2 + int(nRaw)%80
-		b := graph.NewSparseBuilder(n)
-		for i := 0; i+1 < len(edges); i += 2 {
-			u, v := int(edges[i])%n, int(edges[i+1])%n
-			if u != v {
-				b.AddEdge(u, v)
-			}
-		}
-		g := b.Build()
-		front, visited := bitset.New(n), bitset.New(n)
-		for _, x := range frontRaw {
-			front.Add(int(x) % n)
-		}
-		for _, x := range visitedRaw {
-			visited.Add(int(x) % n)
-		}
-		push := bitset.New(n)
-		edgeMapPush(g, front, visited, push)
-		pull := bitset.New(n)
-		edgeMapPull(g, front, visited, pull)
-		for v := 0; v < n; v++ {
-			if push.Contains(v) != pull.Contains(v) {
-				t.Fatalf("push/pull diverge at vertex %d (n=%d)", v, n)
-			}
-		}
-	})
-}
-
-func TestEdgeMapDirectionSwitch(t *testing.T) {
-	// A dense frontier on a dense graph must pull; a single low-degree
-	// vertex must push. This guards the threshold wiring, not the rule.
-	g := gen.Complete(64)
-	g.CSR()
-	all := bitset.New(64)
-	for v := 0; v < 64; v++ {
-		all.Add(v)
-	}
-	if _, pulled := EdgeMap(g, all, bitset.New(64), bitset.New(64)); !pulled {
-		t.Fatal("full frontier on K64 did not pull")
-	}
-	one := bitset.New(64)
-	one.Add(0)
-	sparse := randomGraph(64, 0.05, 1)
-	if _, pulled := EdgeMap(sparse, one, bitset.New(64), bitset.New(64)); pulled {
-		t.Fatal("singleton frontier on a sparse graph pulled")
-	}
-}
-
 func TestClusterBFSWordsMatchConnectivity(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		n := 30 + int(trial)*11

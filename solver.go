@@ -21,12 +21,18 @@ import (
 type Engine uint8
 
 const (
-	// EngineAuto picks the cheapest faithful execution: the sequential
-	// reference replay. Choose a simulator engine explicitly when you need
-	// round/frame/bit metrics.
+	// EngineAuto picks the cheapest faithful execution: the centralized
+	// replay of EngineSequential for Solve, the cached bisection of
+	// EngineFrontier for Search. Choose a simulator engine explicitly when
+	// you need round/frame/bit metrics.
 	EngineAuto Engine = iota
-	// EngineSequential is the centralized reference replay: identical
-	// outputs, no message simulation, the fastest and lightest option.
+	// EngineSequential is the centralized replay (core.FindSequential):
+	// identical outputs, no message simulation, the fastest and lightest
+	// option. Components are discovered by 64-seed cluster floods over
+	// the CSR arena and each component's voters are gathered from its
+	// members' rows alone; with a flight recorder attached it emits one
+	// round event per traversal wave. Search runs one full replay per
+	// probe.
 	EngineSequential
 	// EngineSharded is the sharded flat-buffer CONGEST simulator
 	// (DESIGN.md §5): full metrics, scales to million-node graphs.
@@ -38,14 +44,11 @@ const (
 	// Awerbuch's α-synchronizer; the synchronizer overhead appears in the
 	// Async* metrics.
 	EngineAsync
-	// EngineFrontier is the centralized replay on direction-optimizing
-	// frontier kernels (internal/frontier): component discovery runs as
-	// 64-seed cluster floods over the CSR arena with Ligra-style
-	// push/pull waves, and Search probes share one cached traversal
-	// across the whole ε bisection. Committed output is bit-identical to
-	// every other engine; like the sequential engine it simulates no
-	// messages (zero Metrics), but it does emit per-wave flight round
-	// events.
+	// EngineFrontier runs the same centralized replay as EngineSequential
+	// for Solve — one code path, so output and flight events are
+	// identical — and differs only in Search, where one cached traversal
+	// serves the whole ε bisection. The spelling stays so that cache
+	// keys, CLI flags and cost-model names keep working.
 	EngineFrontier
 	// EngineShadow is the Turán-shadow counting engine (internal/shadow):
 	// degeneracy-ordered DAG refinement plus weighted sampling that
@@ -430,7 +433,7 @@ func (s *Solver) solve(ctx context.Context, g *Graph, opts Options) (*Result, er
 	var res *Result
 	var err error
 	switch s.cfg.engine {
-	case EngineAuto, EngineSequential:
+	case EngineAuto, EngineSequential, EngineFrontier:
 		opts.Async = false
 		res, err = core.FindSequentialContext(ctx, g, opts)
 	case EngineSharded:
@@ -442,9 +445,6 @@ func (s *Solver) solve(ctx context.Context, g *Graph, opts Options) (*Result, er
 	case EngineAsync:
 		opts.Async = true
 		res, err = core.FindContext(ctx, g, opts)
-	case EngineFrontier:
-		opts.Async = false
-		res, err = core.FindFrontierContext(ctx, g, opts)
 	case EngineShadow:
 		return nil, errors.New("nearclique: engine=shadow serves Count/Sample, not Solve")
 	}
