@@ -36,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,7 +45,6 @@ import (
 	"nearclique/internal/costmodel"
 	"nearclique/internal/gen"
 	"nearclique/internal/graphio"
-	"nearclique/internal/obs"
 	"nearclique/internal/report"
 	"nearclique/internal/server"
 )
@@ -173,7 +173,7 @@ func runScenario(client *http.Client, base, graphName string, sc scenario, durat
 		return report.ServeMeasurement{}, err
 	}
 	sched := arrivals(duration, rps*sc.rateMul, sc.pattern)
-	hist := &obs.Histogram{}
+	lat := &latencies{}
 	var c counts
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -186,7 +186,7 @@ func runScenario(client *http.Client, base, graphName string, sc scenario, durat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			issue(client, base, graphName, kind, seed, hist, &c)
+			issue(client, base, graphName, kind, seed, lat, &c)
 		}()
 	}
 	wg.Wait()
@@ -195,8 +195,7 @@ func runScenario(client *http.Client, base, graphName string, sc scenario, durat
 	offered := int64(len(sched))
 	completed := c.completed.Load()
 	shed := c.shed429.Load() + c.shed504.Load()
-	snap := hist.Snapshot()
-	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	p50, p99, p999, mean := lat.summary()
 	m := report.ServeMeasurement{
 		Scenario:   sc.name,
 		Pattern:    sc.pattern,
@@ -209,15 +208,13 @@ func runScenario(client *http.Client, base, graphName string, sc scenario, durat
 		Shed504:    c.shed504.Load(),
 		Errors5xx:  c.errors5xx.Load(),
 		Failed:     c.failed.Load(),
-		P50MS:      ms(snap.QuantileNS(0.50)),
-		P99MS:      ms(snap.QuantileNS(0.99)),
-		P999MS:     ms(snap.QuantileNS(0.999)),
+		P50MS:      p50,
+		P99MS:      p99,
+		P999MS:     p999,
+		MeanMS:     mean,
 	}
 	if offered > 0 {
 		m.ShedRate = float64(shed) / float64(offered)
-	}
-	if snap.Count > 0 {
-		m.MeanMS = ms(snap.SumNS / int64(snap.Count))
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		m.Throughput = float64(completed) / secs
@@ -225,11 +222,56 @@ func runScenario(client *http.Client, base, graphName string, sc scenario, durat
 	return m, nil
 }
 
+// latencies keeps every client-side latency of one scenario. loadgen
+// runs offline, so it keeps the raw samples and reports exact
+// percentiles rather than histogram bucket bounds.
+type latencies struct {
+	mu sync.Mutex
+	ns []int64
+}
+
+func (l *latencies) observe(d time.Duration) {
+	l.mu.Lock()
+	l.ns = append(l.ns, int64(d))
+	l.mu.Unlock()
+}
+
+// summary returns the nearest-rank p50, p99 and p999 and the mean, in
+// milliseconds; all four are 0 without samples.
+func (l *latencies) summary() (p50, p99, p999, mean float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.ns) == 0 {
+		return 0, 0, 0, 0
+	}
+	slices.Sort(l.ns)
+	var sum float64
+	for _, ns := range l.ns {
+		sum += float64(ns)
+	}
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	return ms(percentileNS(l.ns, 500)), ms(percentileNS(l.ns, 990)), ms(percentileNS(l.ns, 999)),
+		sum / float64(len(l.ns)) / 1e6
+}
+
+// percentileNS returns the nearest-rank perMille/1000 quantile of the
+// non-empty sorted samples: the smallest sample with at least that share
+// of all samples at or below it, so always an observed value. The rank
+// is computed in integers, so p99.9 of 2000 samples is rank 1998
+// exactly.
+func percentileNS(sorted []int64, perMille int) int64 {
+	r := (perMille*len(sorted) + 999) / 1000
+	if r < 1 {
+		r = 1
+	}
+	return sorted[r-1]
+}
+
 // issue sends one request of the given kind and files the outcome. Every
 // response — success or shed — observes its client-side latency: shed
 // responses are real responses with real latencies, and excluding them
 // would make an overloaded server look fast.
-func issue(client *http.Client, base, graphName, kind string, seed int64, hist *obs.Histogram, c *counts) {
+func issue(client *http.Client, base, graphName, kind string, seed int64, lat *latencies, c *counts) {
 	solveBody := func(seed int64, refine string) string {
 		b := fmt.Sprintf(`{"graph":%q,"engine":"seq","seed":%d,"timeout_ms":10000`, graphName, seed)
 		if refine != "" {
@@ -251,13 +293,13 @@ func issue(client *http.Client, base, graphName, kind string, seed int64, hist *
 	start := time.Now()
 	resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
 	if err != nil {
-		hist.Observe(time.Since(start))
+		lat.observe(time.Since(start))
 		c.failed.Add(1)
 		return
 	}
 	io.Copy(io.Discard, resp.Body) // latency includes reading the full body
 	resp.Body.Close()
-	hist.Observe(time.Since(start))
+	lat.observe(time.Since(start))
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
 		c.completed.Add(1)

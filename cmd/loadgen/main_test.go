@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -223,6 +224,36 @@ func TestGateFailsOnServerErrors(t *testing.T) {
 		got := gateCheck(tc.rows, 0, 250*time.Millisecond, &stderr)
 		if got != tc.want {
 			t.Errorf("%s: gate returned %d, want %d (stderr: %s)", tc.name, got, tc.want, stderr.String())
+		}
+	}
+}
+
+// TestLatencySummaryExactPercentiles pins loadgen's client percentiles
+// to nearest rank over the raw samples, on sample lists whose
+// percentiles are no power of two (the bounds a log2 histogram would
+// report): 1..2000 ms observed in scrambled order, and seven samples
+// with a repeat.
+func TestLatencySummaryExactPercentiles(t *testing.T) {
+	cases := []struct {
+		ms                   []int
+		p50, p99, p999, mean float64
+	}{
+		{ms: nil},
+		{ms: []int{3, 1, 4, 1, 5, 9, 2}, p50: 3, p99: 9, p999: 9, mean: 25.0 / 7},
+		{ms: make([]int, 2000), p50: 1000, p99: 1980, p999: 1998, mean: 1000.5},
+	}
+	for i := range cases[2].ms {
+		cases[2].ms[i] = (i*7919)%2000 + 1 // 7919 is coprime to 2000, so this permutes 1..2000
+	}
+	for _, c := range cases {
+		var l latencies
+		for _, ms := range c.ms {
+			l.observe(time.Duration(ms) * time.Millisecond)
+		}
+		p50, p99, p999, mean := l.summary()
+		if p50 != c.p50 || p99 != c.p99 || p999 != c.p999 || math.Abs(mean-c.mean) > 1e-9 {
+			t.Errorf("%d samples: p50/p99/p999/mean = %v/%v/%v/%v, want %v/%v/%v/%v",
+				len(c.ms), p50, p99, p999, mean, c.p50, c.p99, c.p999, c.mean)
 		}
 	}
 }

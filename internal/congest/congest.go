@@ -41,6 +41,7 @@ import (
 	"sort"
 	"sync"
 
+	"nearclique/internal/bitset"
 	"nearclique/internal/flight"
 	"nearclique/internal/graph"
 )
@@ -262,7 +263,7 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 		opts:  opts,
 		procs: make([]Proc, n),
 		ctxs:  make([]*Context, n),
-		ids:   permutedIDs(nil, n, opts.Seed),
+		ids:   permutedIDs(n, opts.Seed),
 		csr:   csr,
 	}
 	net.frameBits = opts.FrameBits
@@ -309,17 +310,87 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 // permutedIDs assigns each node a distinct O(log n)-bit protocol ID via a
 // seeded permutation, so that ID order is uncorrelated with node index.
 // It is rand.Perm's loop — the same Intn(i+1) draws and swaps — writing
-// the IDs straight into dst, which is reallocated only when too small.
-func permutedIDs(dst []int64, n int, seed int64) []int64 {
-	rng := rand.New(rand.NewSource(seed ^ 0x1dfa_c0de))
-	if cap(dst) < n {
-		dst = make([]int64, n)
-	}
-	ids := dst[:n]
+// the IDs straight into int64s.
+func permutedIDs(n int, seed int64) []int64 {
+	rng := idRand(seed)
+	ids := make([]int64, n)
 	for i := range ids {
 		j := rng.Intn(i + 1)
 		ids[i] = ids[j]
 		ids[j] = int64(i)
+	}
+	return ids
+}
+
+func idRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed ^ 0x1dfa_c0de)) }
+
+// IDWalk is the pooled state of SampledIDs: the recorded draws and the
+// tracked positions. The zero value is ready; an IDWalk is not safe for
+// concurrent use.
+type IDWalk struct {
+	draws []uint32
+	at    map[int]int // tracked position -> index into nodes
+	dups  [][2]int    // (query, earlier query of the same node)
+}
+
+// SampledIDs returns PermutedIDs(n, seed)[v] for every v in nodes, in
+// order, without building the permutation. It records permutedIDs' n
+// draws J_i = Intn(i+1) — the same generator and call sequence — and
+// walks them backwards from i = n−1 tracking only the queried positions:
+// swap i writes ID i to position J_i and moves the old content of J_i to
+// position i, so a query at J_i resolves to ID i, and a query at
+// position i ≠ J_i moves to J_i. Tracked positions stay distinct, the
+// walk stops once every query is resolved, and its cost is the n draws
+// plus two bit tests per step.
+//
+// tracked must be an all-zero set over at least n bits; it is all-zero
+// again on return.
+func (w *IDWalk) SampledIDs(dst []int64, nodes []int32, n int, seed int64, tracked *bitset.Set) []int64 {
+	ids := dst[:0]
+	if cap(ids) < len(nodes) {
+		ids = make([]int64, len(nodes))
+	}
+	ids = ids[:len(nodes)]
+	if len(nodes) == 0 {
+		return ids
+	}
+	if cap(w.draws) < n {
+		w.draws = make([]uint32, n)
+	}
+	draws := w.draws[:n]
+	rng := idRand(seed)
+	for i := range draws {
+		draws[i] = uint32(rng.Intn(i + 1))
+	}
+
+	if w.at == nil {
+		w.at = make(map[int]int, len(nodes))
+	}
+	w.dups = w.dups[:0]
+	for q, v := range nodes {
+		if p := int(v); tracked.Contains(p) {
+			w.dups = append(w.dups, [2]int{q, w.at[p]})
+		} else {
+			tracked.Add(p)
+			w.at[p] = q
+		}
+	}
+	for i := n - 1; len(w.at) > 0; i-- {
+		j := int(draws[i])
+		if tracked.Contains(j) {
+			ids[w.at[j]] = int64(i)
+			delete(w.at, j)
+			tracked.Remove(j)
+		}
+		if j != i && tracked.Contains(i) {
+			w.at[j] = w.at[i]
+			delete(w.at, i)
+			tracked.Remove(i)
+			tracked.Add(j)
+		}
+	}
+	for _, d := range w.dups {
+		ids[d[0]] = ids[d[1]]
 	}
 	return ids
 }

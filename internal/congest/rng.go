@@ -44,37 +44,64 @@ func NewNodeRand(seed, node int64) *rand.Rand {
 	return rand.New(&counterSource{state: uint64(splitSeed(seed, node))})
 }
 
-// CoinBank holds the per-node counter streams of one run as a flat array
-// of states, one word per node and no pointers, so a centralized replay
-// of an n-node run keeps n words the garbage collector never scans, and
-// re-keying it for the next run allocates nothing. Float64(v) draws
-// exactly what NewNodeRand(seed, v).Float64() would.
+// Coins draws the per-node counter streams of one run in place instead
+// of storing them: call c (from 1) of node v's stream is
+// mix64(splitSeed(seed, v) + c·γ), so node v's Float64 calls 2r and
+// 2r+1 — its two sampling coins of version r — are counters 2r+1 and
+// 2r+2, shifted by one for every earlier call that hit math/rand's
+// redraw of a value rounding to 1. Only such nodes, a 2^-53 event per
+// draw, are stored, so the state is an empty map in practice.
 //
-// A CoinBank is not safe for concurrent use; callers pool whole banks.
-type CoinBank struct {
-	state []uint64
+// Coins is not safe for concurrent use; callers pool whole values.
+type Coins struct {
+	seed  int64
+	extra map[int]uint64 // node -> counters its earlier draws redrew
 }
 
-// Reset keys the bank to the n node streams of seed, each at its first
-// draw, reusing the bank's array when it is large enough.
-func (b *CoinBank) Reset(seed int64, n int) {
-	if cap(b.state) < n {
-		b.state = make([]uint64, n)
-	}
-	b.state = b.state[:n]
-	for v := range b.state {
-		b.state[v] = uint64(splitSeed(seed, int64(v)))
-	}
+// Reset keys c to the node streams of seed, each at its first draw.
+func (c *Coins) Reset(seed int64) {
+	c.seed = seed
+	clear(c.extra)
 }
 
-// Float64 returns node v's next draw in [0, 1). It is math/rand's
-// Rand.Float64 over counterSource, including the redraw when the 63-bit
-// value rounds to 1.
-func (b *CoinBank) Float64(v int) float64 {
-	for {
-		b.state[v] += golden
-		if f := float64(int64(mix64(b.state[v])>>1)) / (1 << 63); f != 1 {
-			return f
+// Pair returns node v's Float64 calls 2r and 2r+1 — what the calls of
+// NewNodeRand(seed, v).Float64() with those indices return. It is exact
+// when Pair(v, r') was called for every r' < r first, so that any
+// earlier redraw is known.
+func (c *Coins) Pair(v, r int) (float64, float64) {
+	key := uint64(splitSeed(c.seed, int64(v)))
+	ctr := uint64(2*r + 1)
+	if len(c.extra) != 0 {
+		ctr += c.extra[v]
+	}
+	f1, f2 := unitFloat(key+ctr*golden), unitFloat(key+(ctr+1)*golden)
+	if f1 == 1 || f2 == 1 {
+		return c.redraw(v, key, ctr)
+	}
+	return f1, f2
+}
+
+// redraw is Pair's slow path: math/rand's Float64 loop, counter by
+// counter, recording the counters it skipped.
+func (c *Coins) redraw(v int, key, ctr uint64) (float64, float64) {
+	var f [2]float64
+	skipped := uint64(0)
+	for i := range f {
+		for f[i] = unitFloat(key + ctr*golden); f[i] == 1; f[i] = unitFloat(key + ctr*golden) {
+			ctr++
+			skipped++
 		}
+		ctr++
 	}
+	if c.extra == nil {
+		c.extra = make(map[int]uint64)
+	}
+	c.extra[v] += skipped
+	return f[0], f[1]
+}
+
+// unitFloat is math/rand's Float64 of one counterSource draw before its
+// redraw check: the top 63 bits of mix64(state) over 2^63.
+func unitFloat(state uint64) float64 {
+	return float64(int64(mix64(state)>>1)) / (1 << 63)
 }

@@ -10,22 +10,28 @@ import "nearclique/internal/graph"
 // election, K/T thresholds, argmax, voting, commit, labeling — is one
 // implementation.
 
-// newSeqComp fills a component's identity fields: the sorted int32
-// member list and the minimum-protocol-ID root (the spanning-tree root
-// the distributed protocol elects).
-func newSeqComp(ids []int64, members []int, ver int) *seqComp {
+// newSeqComp fills a component's identity fields but its root: the
+// version and the sorted int32 member list.
+func newSeqComp(members []int, ver int) *seqComp {
 	sc := &seqComp{version: ver}
 	sc.members = make([]int32, len(members))
-	rootIdx, rootID := members[0], ids[members[0]]
 	for i, m := range members {
 		sc.members[i] = int32(m)
-		if ids[m] < rootID {
-			rootIdx, rootID = m, ids[m]
+	}
+	return sc
+}
+
+// electRoot sets the component's root, the minimum-protocol-ID member
+// (the spanning-tree root the distributed protocol elects); ids[i] is
+// the protocol ID of members[i].
+func (sc *seqComp) electRoot(ids []int64) {
+	r := 0
+	for i, id := range ids {
+		if id < ids[r] {
+			r = i
 		}
 	}
-	sc.rootIdx = int32(rootIdx)
-	sc.rootID = rootID
-	return sc
+	sc.rootIdx, sc.rootID = sc.members[r], ids[r]
 }
 
 // finish evaluates the component's K/T tables at ε and derives its

@@ -32,10 +32,12 @@ type ktTables struct {
 	hist       []classCount
 }
 
-// ktScratch is the pooled working state of the kernel, sized by the
-// largest component seen, never by the graph.
+// ktScratch is the pooled working state of the kernel. The voter index
+// is graph-sized and all-zero outside buildKT; the rest is sized by the
+// largest component seen.
 type ktScratch struct {
-	idx     voterIndex
+	voterPos []int32 // node -> its position+1 in the component's voter list, 0 = not a voter
+
 	masks   []uint32 // per voter, while building
 	classOf []int32  // mask -> class+1, 0 = unseen; reset after each build
 	cnt     []int32  // per class, while building one histogram
@@ -50,13 +52,19 @@ type ktScratch struct {
 // sc.members and sc.voters must be set.
 func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch) {
 	voters := sc.voters
-	x.idx.reset(voters)
+	if len(x.voterPos) < g.N() {
+		x.voterPos = make([]int32, g.N())
+	}
+	pos := x.voterPos
+	for p, u := range voters {
+		pos[u] = int32(p) + 1
+	}
 	x.masks = resizeZero(x.masks, len(voters))
 	// Every neighbor of a member is a voter: a sampled neighbor lies in
 	// the same component, an unsampled one is a claimant.
 	for i, m := range sc.members {
 		for _, w := range g.Neighbors(int(m)) {
-			if p := x.idx.lookup(w); p >= 0 {
+			if p := pos[w] - 1; p >= 0 {
 				x.masks[p] |= 1 << uint(i)
 			}
 		}
@@ -87,7 +95,7 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch) {
 	for i, u := range voters {
 		x.touched = x.touched[:0]
 		for _, w := range g.Neighbors(u) {
-			if p := x.idx.lookup(w); p >= 0 {
+			if p := pos[w] - 1; p >= 0 {
 				c := kt.voterClass[p]
 				if x.cnt[c] == 0 {
 					x.touched = append(x.touched, c)
@@ -100,6 +108,9 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch) {
 			x.cnt[c] = 0
 		}
 		kt.histOff[i+1] = int32(len(kt.hist))
+	}
+	for _, u := range voters {
+		pos[u] = 0
 	}
 }
 
@@ -189,51 +200,4 @@ func resizeZero[T uint32 | int32 | uint64](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// voterIndex maps a node to its position in a component's sorted voter
-// list: open addressing over a power-of-two table of 2–4× the voter
-// count, so its size follows the component, not the graph, and one
-// pooled table serves every component of a run.
-type voterIndex struct {
-	keys  []int32 // node+1; 0 = empty slot
-	vals  []int32
-	shift uint
-}
-
-func (x *voterIndex) reset(voters []int) {
-	size, logSize := 2, uint(1)
-	for size < 2*len(voters) {
-		size <<= 1
-		logSize++
-	}
-	x.keys = resizeZero(x.keys, size)
-	x.vals = resizeZero(x.vals, size)
-	x.shift = 32 - logSize
-	mask := uint32(size - 1)
-	for p, u := range voters {
-		h := x.hash(int32(u))
-		for x.keys[h] != 0 {
-			h = (h + 1) & mask
-		}
-		x.keys[h] = int32(u) + 1
-		x.vals[h] = int32(p)
-	}
-}
-
-func (x *voterIndex) hash(v int32) uint32 {
-	return (uint32(v) * 0x9E3779B1) >> x.shift
-}
-
-// lookup returns v's voter position, or -1 when v is not a voter.
-func (x *voterIndex) lookup(v int32) int32 {
-	mask := uint32(len(x.keys) - 1)
-	for h := x.hash(v); ; h = (h + 1) & mask {
-		switch x.keys[h] {
-		case v + 1:
-			return x.vals[h]
-		case 0:
-			return -1
-		}
-	}
 }

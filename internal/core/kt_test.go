@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"nearclique/internal/bitset"
-	"nearclique/internal/congest"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
 )
@@ -34,8 +33,8 @@ func ktOracleEps() []float64 {
 // kernelComp builds a component over the given members the way the
 // replays do — voters are the members plus all their neighbors — and
 // captures its kernel tables.
-func kernelComp(g *graph.Graph, ids []int64, members []int, ver int, x *ktScratch) *seqComp {
-	sc := newSeqComp(ids, members, ver)
+func kernelComp(g *graph.Graph, members []int, ver int, x *ktScratch) *seqComp {
+	sc := newSeqComp(members, ver)
 	voters := bitset.FromIndices(g.N(), members)
 	for _, m := range members {
 		for _, w := range g.Neighbors(m) {
@@ -64,7 +63,7 @@ func TestKTKernelMatchesGraphOracle(t *testing.T) {
 		}
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		members := dedupSorted(pool, k)
-		sc := kernelComp(g, congest.PermutedIDs(g.N(), int64(trial)), members, 0, &x)
+		sc := kernelComp(g, members, 0, &x)
 		if len(sc.voters) < 100 {
 			t.Fatalf("trial %d: only %d voters; the oracle wants hundreds", trial, len(sc.voters))
 		}
@@ -126,7 +125,6 @@ func TestSearchCacheEvaluateMatchesFreshFinish(t *testing.T) {
 	if cache.maxComponent < 4 {
 		t.Fatalf("max component %d; the instance must reach k ≥ 4", cache.maxComponent)
 	}
-	ids := congest.PermutedIDs(g.N(), so.Seed)
 	var fresh ktScratch
 	probe := func(eps float64) bool {
 		cache.evaluate(eps)
@@ -135,7 +133,7 @@ func TestSearchCacheEvaluateMatchesFreshFinish(t *testing.T) {
 			for i, m := range sc.members {
 				members[i] = int(m)
 			}
-			f := newSeqComp(ids, members, sc.version)
+			f := newSeqComp(members, sc.version)
 			f.voters = sc.voters
 			f.buildKT(g, &fresh)
 			f.finish(eps, need, &fresh)

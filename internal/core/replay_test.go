@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"slices"
 	"testing"
@@ -67,6 +68,68 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("no voter was adjacent to two members; the dedup case went untested")
 	}
+}
+
+// TestReplayScratchZeroAfterRun pins the all-zero invariant of the
+// graph-sized scratch that the replay sets and clears entry by entry —
+// the K/T kernel's dense voter index, and the mark set that dedups
+// voters and tracks the ID walk's positions — after a solve, after a
+// search and its probes, and after an ErrComponentTooLarge abort that
+// follows built components.
+func TestReplayScratchZeroAfterRun(t *testing.T) {
+	ctx := context.Background()
+	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
+	scratch := getSeqScratch()
+	defer putSeqScratch(scratch)
+	check := func(stage string, comps []*seqComp) {
+		t.Helper()
+		if len(comps) == 0 {
+			t.Fatalf("%s: no component was built; the check would be vacuous", stage)
+		}
+		if c := scratch.mark.Count(); c != 0 {
+			t.Fatalf("%s: %d mark bits left set", stage, c)
+		}
+		for v, p := range scratch.kt.voterPos {
+			if p != 0 {
+				t.Fatalf("%s: voter index of node %d left at %d", stage, v, p)
+			}
+		}
+	}
+
+	opts, err := Options{Epsilon: 0.25, ExpectedSample: 12, Seed: 1, Versions: 2}.validated(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Labels: make([]int64, g.N()), SampleSizes: make([]int, opts.Versions)}
+	comps, err := collectComps(ctx, g, opts, scratch, nil, res, func(sc *seqComp) {
+		sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decideAndCommit(g, opts, comps, res)
+	check("solve", comps)
+
+	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 12, Versions: 2, Seed: 1}.normalized(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := buildSearchCache(ctx, g, so, need, scratch)
+	if err != nil || cache.failed {
+		t.Fatalf("search cache: err %v, failed %v", err, cache.failed)
+	}
+	cache.probe(so.EpsMax)
+	cache.probe(so.EpsMin)
+	cache.materialize(so.EpsMax)
+	check("search", cache.comps)
+
+	opts.MaxComponentSize = 6 // seed 1 builds six components, then meets one of seven
+	res = &Result{SampleSizes: make([]int, opts.Versions)}
+	comps, err = collectComps(ctx, g, opts, scratch, nil, res, func(*seqComp) {})
+	if !errors.Is(err, ErrComponentTooLarge) {
+		t.Fatalf("abort: err %v, want ErrComponentTooLarge", err)
+	}
+	check("abort", comps)
 }
 
 // replayInstance is the n = 2e5 shape of the replay's allocation test and

@@ -15,20 +15,22 @@ import (
 const seqCtxCheckEvery = 64
 
 // seqScratch is the reusable per-run state of the centralized replay and
-// the cached search. The graph-sized part is the coin bank and the
-// protocol-ID permutation (one word per node each, no pointers), the
-// cluster kernels' traversal scratch, the per-version sample set, and
-// the mark set that dedups a component's voters. The mark set is
-// all-zero between components, and the search probes borrow it for
-// their density check on the same terms. The K/T kernel's buffers and
-// voter index are sized by the largest component seen instead, never by
-// n. Batch serving solves many graphs back to back, often concurrently,
-// so the scratch lives in a sync.Pool: each in-flight run owns one
-// scratch exclusively, and parallel SolveBatch workers draw distinct
-// instances.
+// the cached search. Its graph-sized part holds no pointers: the
+// cluster kernels' traversal scratch, the per-version sample set, the
+// mark set that dedups a component's voters and tracks the ID walk's
+// positions, the ID walk's recorded draws, and the K/T kernel's dense
+// voter index. The mark set and the voter index are all-zero between
+// components, and the search probes borrow the mark set for their
+// density check on the same terms. The coins keep no per-node array at
+// all. Batch serving solves many graphs back to back, often
+// concurrently, so the scratch lives in a sync.Pool: each in-flight run
+// owns one scratch exclusively, and parallel SolveBatch workers draw
+// distinct instances.
 type seqScratch struct {
-	coins congest.CoinBank
-	ids   []int64
+	coins congest.Coins
+	walk  congest.IDWalk
+	nodes []int32 // every component's members, the ID walk's queries
+	ids   []int64 // their protocol IDs
 
 	fsc      *frontier.Scratch
 	inS      *bitset.Set

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"nearclique/internal/congest"
 	"nearclique/internal/flight"
 	"nearclique/internal/frontier"
 	"nearclique/internal/graph"
@@ -18,7 +17,8 @@ import (
 // the same inputs (asserted by the equivalence tests), and it scales
 // further because no messages are simulated. Like the protocol it
 // replays, it is local: a version costs O(n) for the coins plus, per
-// sampled component, work proportional to its members' neighborhoods.
+// sampled component, work proportional to its members' neighborhoods,
+// and a run adds one O(n) pass of ID draws to elect the roots.
 //
 // Options.MaxRounds is ignored (there are no rounds); everything else
 // behaves as in Find.
@@ -40,8 +40,8 @@ func FindSequential(g *graph.Graph, opts Options) (*Result, error) {
 // boosting version and for the decision stage. The simulator Metrics
 // stay zero: nothing is simulated.
 //
-// Per-run scratch (the coin bank, the ID permutation, the traversal
-// sets) is drawn from a package-level pool, so repeated solves — in
+// Per-run scratch (the ID walk's draws, the traversal sets, the voter
+// index) is drawn from a package-level pool, so repeated solves — in
 // particular concurrent batch serving over shared immutable graphs — do
 // not reallocate it. Pooling is invisible in the outputs: re-keyed
 // streams are bit-identical to fresh ones.
@@ -95,9 +95,8 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) ([]*seqComp, error) {
 	n := g.N()
 	scratch.sizeFor(n)
-	scratch.ids = congest.PermutedIDsInto(scratch.ids, n, opts.Seed)
-	scratch.coins.Reset(opts.Seed, n)
-	ids, coins, inS := scratch.ids, &scratch.coins, scratch.inS
+	scratch.coins.Reset(opts.Seed)
+	coins, inS := &scratch.coins, scratch.inS
 
 	p1 := opts.P / 2
 	p2 := 0.0
@@ -113,9 +112,7 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 		ft.begin(fmt.Sprintf("v%d/explore", ver))
 		inS.Clear()
 		for v := 0; v < n; v++ {
-			c1 := coins.Float64(v) < p1
-			c2 := coins.Float64(v) < p2
-			if c1 || c2 {
+			if f1, f2 := coins.Pair(v, ver); f1 < p1 || f2 < p2 {
 				inS.Add(v)
 			}
 		}
@@ -134,12 +131,15 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 				return comps, fmt.Errorf("%w: %d > %d (lower the sampling probability)",
 					ErrComponentTooLarge, len(members), opts.MaxComponentSize)
 			}
-			sc := newSeqComp(ids, members, ver)
+			sc := newSeqComp(members, ver)
 			sc.voters = scratch.gatherVoters(g, members)
 			sc.buildKT(g, &scratch.kt)
 
 			visit(sc)
 			comps = append(comps, sc)
+		}
+		if ver == opts.Versions-1 {
+			scratch.electRoots(comps, n, opts.Seed)
 		}
 		ft.end(res.SampleSizes[ver])
 		if opts.Progress != nil {
@@ -150,6 +150,24 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 		}
 	}
 	return comps, nil
+}
+
+// electRoots sets every component's root, the member of minimum
+// protocol ID that the distributed protocol elects. The IDs come from
+// one backward walk over the ID permutation's draws that tracks only the
+// members (congest.IDWalk), so the replay never builds the n-node
+// permutation. Nothing reads a root before the decision stage.
+func (s *seqScratch) electRoots(comps []*seqComp, n int, seed int64) {
+	s.nodes = s.nodes[:0]
+	for _, sc := range comps {
+		s.nodes = append(s.nodes, sc.members...)
+	}
+	s.ids = s.walk.SampledIDs(s.ids, s.nodes, n, seed, s.mark)
+	ids := s.ids
+	for _, sc := range comps {
+		sc.electRoot(ids[:len(sc.members)])
+		ids = ids[len(sc.members):]
+	}
 }
 
 // gatherVoters returns a component's voters: its members plus every

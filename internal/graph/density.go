@@ -37,8 +37,9 @@ func (g *Graph) IsNearClique(set *bitset.Set, eps float64) bool {
 	if k <= 1 {
 		return true
 	}
-	// Integer comparison avoids float rounding at the boundary:
-	// 2·edges ≥ (1−ε)·k(k−1)  ⇔  2·edges ≥ k(k−1) − ε·k(k−1).
+	// A float comparison, 2·edges ≥ (1−ε)·k(k−1), with a 1e-9 slack so
+	// that a set exactly on the boundary is not rejected when (1−ε)·k(k−1)
+	// rounds just above the integer it equals.
 	pairs := float64(k * (k - 1))
 	return float64(2*g.EdgesWithin(set)) >= (1-eps)*pairs-1e-9
 }

@@ -152,7 +152,8 @@ func (s HistogramSnapshot) QuantileNS(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	// rank = ceil(q * total), computed in integers to stay exact.
+	// rank = ceil(q * total): the float product q·total, truncated to an
+	// integer and rounded up when the truncation dropped a fraction.
 	rank := uint64(q * float64(total))
 	if float64(rank) < q*float64(total) {
 		rank++

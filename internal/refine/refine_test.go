@@ -53,7 +53,7 @@ func TestParseSpecCanonicalization(t *testing.T) {
 
 	for _, bad := range []string{
 		"", "bogus", "quasi", "quasi:0", "quasi:1.5", "near:0.5", "near:-0.1",
-		"near,moves=-1", "near,pool=x", "near,unknown=1", "near,moves",
+		"near,moves=-1", "near,pool=x", "near,unknown=1", "near,moves", "near:NaN", "quasi:NaN",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)

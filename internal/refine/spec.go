@@ -84,14 +84,14 @@ type Spec struct {
 func (s Spec) Validate() error {
 	switch s.Objective {
 	case ObjectiveNearClique:
-		if s.Epsilon < 0 || s.Epsilon >= 0.5 {
+		if !(s.Epsilon >= 0 && s.Epsilon < 0.5) { // NaN fails both
 			return fmt.Errorf("refine: Epsilon %v outside [0, 0.5) (0 inherits the run's ε)", s.Epsilon)
 		}
 		if s.Gamma != 0 {
 			return fmt.Errorf("refine: Gamma %v set on the near-clique objective", s.Gamma)
 		}
 	case ObjectiveQuasiClique:
-		if s.Gamma <= 0 || s.Gamma > 1 {
+		if !(s.Gamma > 0 && s.Gamma <= 1) {
 			return fmt.Errorf("refine: Gamma %v outside (0, 1]", s.Gamma)
 		}
 		if s.Epsilon != 0 {
