@@ -783,16 +783,13 @@ type searchPoint struct {
 	seeds   int
 }
 
-// searchPoints is the -search-batch grid. The frontier engine runs one
+// searchPoints is the -search-batch grid. The replay (seq) runs one
 // shared traversal per search (probes are threshold re-evaluations);
-// seq re-runs a full replay per probe; sharded simulates every probe —
-// the serial-probes baseline the speedup column is against. Sharded is
-// skipped at n=1e6, where nine simulated probes stop being a benchmark
-// and start being an afternoon.
+// sharded simulates every probe — the serial-probes baseline the speedup
+// column is against. Sharded is skipped at n=1e6, where nine simulated
+// probes stop being a benchmark and start being an afternoon.
 func searchPoints(quick bool) []searchPoint {
-	all := []nearclique.Engine{
-		nearclique.EngineFrontier, nearclique.EngineSequential, nearclique.EngineSharded,
-	}
+	all := []nearclique.Engine{nearclique.EngineSequential, nearclique.EngineSharded}
 	if quick {
 		return []searchPoint{
 			{pt: expt.ScalePoint{N: 5_000, Size: 300, AvgDeg: 10}, engines: all, seeds: 2},
@@ -802,7 +799,7 @@ func searchPoints(quick bool) []searchPoint {
 		{pt: expt.ScalePoint{N: 100_000, Size: 1000, AvgDeg: 12}, engines: all, seeds: 3},
 		{
 			pt:      expt.ScalePoint{N: 1_000_000, Size: 2000, AvgDeg: 10},
-			engines: []nearclique.Engine{nearclique.EngineFrontier, nearclique.EngineSequential},
+			engines: []nearclique.Engine{nearclique.EngineSequential},
 			seeds:   1,
 		},
 	}
@@ -965,7 +962,6 @@ const costFitSeeds = 4
 var costEngines = []nearclique.Engine{
 	nearclique.EngineSequential,
 	nearclique.EngineSharded,
-	nearclique.EngineFrontier,
 }
 
 // costPoints is the fixed fit/check grid. The full grid is a superset of

@@ -1,4 +1,4 @@
-// Command experiments regenerates every table in EXPERIMENTS.md: the
+// Command experiments prints every experiment table: the
 // empirical reproduction of the paper's theorems, lemmas, claims and
 // corollaries (see DESIGN.md §4 for the E1..E10 index).
 //

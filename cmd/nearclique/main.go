@@ -51,14 +51,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "random seed")
 		boost    = fs.Int("boost", 1, "boosting versions λ (Section 4.1)")
 		minSize  = fs.Int("minsize", 0, "disqualify near-cliques smaller than this")
-		engineFl = fs.String("engine", "", "auto | seq | sharded | legacy | async | frontier | shadow (overrides -mode)")
+		engineFl = fs.String("engine", "", "auto | seq | sharded | legacy | async | shadow (default seq, or shadow with -count)")
 		countK   = fs.Int("count", 0, "estimate k-clique and (k,ε)-near-clique counts by Turán-shadow sampling instead of solving (0 = off)")
 		samples  = fs.Int("samples", 0, "estimator draws for -count (0 = the 4096 default)")
 		conf     = fs.Float64("confidence", 0, "error-bound coverage 1−δ for -count (0 = the 0.99 default)")
-		mode     = fs.String("mode", "seq", `deprecated: "dist" (= -engine sharded) or "seq" (= -engine seq)`)
 		maxR     = fs.Int("maxrounds", 0, "deterministic round bound (0 = unlimited; simulator engines)")
 		refineFl = fs.String("refine", "", `refinement post-pass: "near[:eps]" or "quasi:gamma", optionally ",moves=N,pool=N" (empty = off)`)
-		async    = fs.Bool("async", false, "deprecated: same as -engine async")
 		timeout  = fs.Duration("timeout", 0, "cancel the run after this long (0 = no deadline)")
 		trace    = fs.Int("trace", 0, "record up to N per-round flight events and dump them after the run (0 = off)")
 		jsonOut  = fs.Bool("json", false, "emit the machine-readable result schema shared with cmd/bench")
@@ -73,10 +71,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	engine, errc := resolveEngine(*engineFl, *mode, *async)
-	if errc != nil {
-		fmt.Fprintln(stderr, "nearclique:", errc)
-		return 2
+	engine := nearclique.EngineSequential
+	switch {
+	case *engineFl != "":
+		var err error
+		if engine, err = nearclique.ParseEngine(*engineFl); err != nil {
+			fmt.Fprintln(stderr, "nearclique:", err)
+			return 2
+		}
+	case *countK > 0:
+		engine = nearclique.EngineShadow
 	}
 
 	// File inputs dispatch by content: `.ncsr` snapshots are memory-mapped
@@ -107,11 +111,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *countK > 0 {
-		if *engineFl == "" {
-			// -mode's "seq" default is a solve-path spelling; counting runs
-			// the shadow engine unless -engine explicitly says otherwise.
-			engine = nearclique.EngineShadow
-		}
 		return runCount(g, engine, countConfig{
 			k: *countK, samples: *samples, confidence: *conf,
 			eps: *eps, seed: *seed, timeout: *timeout,
@@ -323,26 +322,4 @@ func dumpTrace(w io.Writer, rec *nearclique.FlightRecorder) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// resolveEngine merges the -engine flag with the deprecated -mode/-async
-// spellings: -engine wins when set; otherwise "dist" maps to the sharded
-// simulator (async executor with -async) and "seq" to the sequential
-// reference, exactly the engines those modes always ran.
-func resolveEngine(engineFlag, mode string, async bool) (nearclique.Engine, error) {
-	if engineFlag != "" {
-		return nearclique.ParseEngine(engineFlag)
-	}
-	switch mode {
-	case "dist":
-		if async {
-			return nearclique.EngineAsync, nil
-		}
-		return nearclique.EngineSharded, nil
-	case "seq":
-		// The sequential reference has no executor; -async never applied
-		// to it, and still doesn't.
-		return nearclique.EngineSequential, nil
-	}
-	return nearclique.EngineAuto, fmt.Errorf("unknown mode %q", mode)
 }

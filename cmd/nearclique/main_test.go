@@ -37,7 +37,7 @@ func TestRunSequential(t *testing.T) {
 
 func TestRunDistributed(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-mode", "dist", "-eps", "0.25", "-s", "5", "-q"},
+	code := run([]string{"-engine", "sharded", "-eps", "0.25", "-s", "5", "-q"},
 		strings.NewReader(edgeList(t)), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
@@ -102,9 +102,6 @@ func TestRunBadInput(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run(nil, strings.NewReader("not an edge list"), &out, &errOut); code == 0 {
 		t.Fatal("bad input accepted")
-	}
-	if code := run([]string{"-mode", "nope"}, strings.NewReader("0 1\n"), &out, &errOut); code != 2 {
-		t.Fatal("bad mode accepted")
 	}
 	if code := run([]string{"-eps", "0.9"}, strings.NewReader("0 1\n"), &out, &errOut); code == 0 {
 		t.Fatal("bad epsilon accepted")
@@ -175,7 +172,7 @@ func TestRunTimeoutProducesContextError(t *testing.T) {
 
 func TestRunDistributedAsync(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-mode", "dist", "-async", "-eps", "0.25", "-s", "5", "-q"},
+	code := run([]string{"-engine", "async", "-eps", "0.25", "-s", "5", "-q"},
 		strings.NewReader(edgeList(t)), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())

@@ -3,12 +3,11 @@ package core
 import "nearclique/internal/graph"
 
 // This file holds the component-building and decision-stage code shared
-// verbatim by the sequential replay, the frontier engine, and the cached
-// search probes. Sharing it is the parity argument: the engines differ
-// only in how they *discover* components and voters (serial BFS vs
-// 64-seed cluster floods); everything downstream of discovery — root
-// election, K/T thresholds, argmax, voting, commit, labeling — is one
-// implementation.
+// verbatim by the centralized replay and the cached search probes.
+// Sharing it is the parity argument: the two differ only in how often
+// they evaluate the ε-dependent stages; everything downstream of
+// discovery — root election, K/T thresholds, argmax, voting, commit,
+// labeling — is one implementation.
 
 // newSeqComp fills a component's identity fields but its root: the
 // version and the sorted int32 member list.

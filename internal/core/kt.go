@@ -8,11 +8,11 @@ import (
 
 // This file is the one centralized K/T kernel: exploration steps 4a–4f
 // and decision step 1 of Algorithm DistNearClique for a single sampled
-// component, shared by the sequential and frontier replays and by the
-// cached search probes. It rests on one fact: whether voter j lies in
-// K_{2ε²}(X_b) depends only on its k-bit adjacency mask aⱼ to the
-// members, since |Γ(j) ∩ X_b| = popcount(aⱼ & b). So buildKT groups the
-// voters by mask once per component — all of it ε-invariant — and
+// component, shared by the Solve replay and the cached search probes.
+// It rests on one fact: whether voter j lies in K_{2ε²}(X_b) depends
+// only on its k-bit adjacency mask aⱼ to the members, since
+// |Γ(j) ∩ X_b| = popcount(aⱼ & b). So buildKT groups the voters by mask
+// once per component — all of it ε-invariant — and
 // evalKT computes one K row per mask class instead of one per voter, and
 // each voter's neighbor K sum from its (class, count) histogram instead
 // of from its neighbors' rows.

@@ -16,9 +16,11 @@ import (
 // search over the detection parameter ε that returns the smallest ε at
 // which the (boosted) algorithm reports a near-clique of the requested
 // size. It is a heuristic estimator, not the tower-of-exponents exact
-// procedure of [9] — see EXPERIMENTS.md E10 for the calibration.
+// procedure of [9] — experiment E10 (go run ./cmd/experiments -run E10)
+// calibrates it.
 
-// SearchOptions configures SearchMinEpsilon.
+// SearchOptions configures an ε search (SearchFrontierContext or
+// SearchWithRunner).
 type SearchOptions struct {
 	// Rho is the required set fraction: the returned ε is the smallest at
 	// which a near-clique of ≥ Rho·n nodes is reported.
@@ -35,9 +37,12 @@ type SearchOptions struct {
 	EpsMin, EpsMax float64
 	// Seed drives every probe.
 	Seed int64
-	// Flight, if non-nil, receives the probes' flight events: phase
-	// summaries from full probe runs, or the single shared traversal's
-	// wave events on the cached frontier path. Purely observational.
+	// MaxComponentSize caps every probe's sampled components, as
+	// Options.MaxComponentSize does for one run (0 means the default).
+	MaxComponentSize int
+	// Flight, if non-nil, receives the probes' flight events: the shared
+	// traversal's wave events on the cached path, or phase summaries from
+	// every full probe run under SearchWithRunner. Purely observational.
 	Flight *flight.Recorder
 }
 
@@ -72,34 +77,21 @@ func (so SearchOptions) normalized(n int) (SearchOptions, int, error) {
 	return so, need, nil
 }
 
-// ErrNotFound is returned by SearchMinEpsilon when even the largest probed
-// ε reports no near-clique of the requested size.
+// ErrNotFound is returned by a search when even the largest probed ε
+// reports no near-clique of the requested size.
 var ErrNotFound = errors.New("core: no near-clique of the requested size found at any probed ε")
 
-// SearchMinEpsilon bisects over ε and returns the smallest probed ε at
-// which the algorithm reports an ε-near clique of size ≥ ρn, together with
-// that run's result. Each probe is one full FindSequential run, the
-// centralized replay; SearchFrontierContext returns the same ε and
-// Result from one traversal shared by all probes.
-func SearchMinEpsilon(g *graph.Graph, so SearchOptions) (float64, *Result, error) {
-	return SearchContext(context.Background(), g, so)
-}
-
-// SearchContext is SearchMinEpsilon with cooperative cancellation: every
-// probe run observes ctx, and a canceled probe aborts the whole search
-// with an error wrapping context.Canceled or context.DeadlineExceeded —
-// cancellation is never conflated with a probe that merely found nothing.
-func SearchContext(ctx context.Context, g *graph.Graph, so SearchOptions) (float64, *Result, error) {
-	return SearchWithRunner(ctx, g, so, FindSequentialContext)
-}
-
 // SearchWithRunner is the ε-bisection driver with a pluggable probe
-// executor: run performs one full probe run (FindSequentialContext for
-// the classic path; the public Solver passes a simulator-backed closure
-// when a simulator engine is selected, so Search costs — and measures —
-// what the configured engine costs). Detection is engine-independent
-// (the engines are bit-identical), so the returned ε never depends on
-// the runner; only the Result's Metrics do.
+// executor: run performs one full probe run. The public Solver passes a
+// simulator-backed closure when a simulator engine is selected, so Search
+// costs — and measures — what the configured engine costs. With
+// FindSequentialContext as run it is the per-probe reference the search
+// parity suite checks SearchFrontierContext against. Detection is
+// engine-independent (the engines are bit-identical), so the returned ε
+// never depends on the runner; only the Result's Metrics do. Every probe
+// observes ctx, and a canceled probe aborts the whole search with an
+// error wrapping the context error — cancellation is never conflated with
+// a probe that merely found nothing.
 func SearchWithRunner(ctx context.Context, g *graph.Graph, so SearchOptions, run func(context.Context, *graph.Graph, Options) (*Result, error)) (float64, *Result, error) {
 	so, need, err := so.normalized(g.N())
 	if err != nil {
@@ -108,12 +100,13 @@ func SearchWithRunner(ctx context.Context, g *graph.Graph, so SearchOptions, run
 
 	probe := func(eps float64) (*Result, bool, error) {
 		res, err := run(ctx, g, Options{
-			Epsilon:        eps,
-			ExpectedSample: so.ExpectedSample,
-			Seed:           so.Seed,
-			Versions:       so.Versions,
-			MinSize:        need,
-			Flight:         so.Flight,
+			Epsilon:          eps,
+			ExpectedSample:   so.ExpectedSample,
+			Seed:             so.Seed,
+			Versions:         so.Versions,
+			MinSize:          need,
+			MaxComponentSize: so.MaxComponentSize,
+			Flight:           so.Flight,
 		})
 		if err != nil {
 			// Cancellation aborts the search; any other probe failure

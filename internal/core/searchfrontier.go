@@ -9,8 +9,8 @@ import (
 	"nearclique/internal/graph"
 )
 
-// This file is the frontier engine's ε bisection: Solver.Search's
-// execution path for the frontier (and auto) engine. The observation
+// This file is the centralized replay's ε bisection: Solver.Search's
+// execution path for EngineAuto and EngineSequential. The observation
 // that makes it fast: the sampling coins depend only on (seed, node,
 // version) — a probe never draws a coin that depends on ε — so every
 // probe of the bisection shares the same samples, the same components,
@@ -19,16 +19,12 @@ import (
 // CSR arena, via collectComps), caches the ε-invariant state, and
 // re-evaluates only the K/T thresholds and the decision stage per
 // probe; the full Result is materialized once, for the winning ε.
-// Detection and the returned Result are bit-identical to running
-// SearchContext (pinned by the search parity suite) — this path changes
-// only what a probe costs.
+// Detection and the returned Result are bit-identical to
+// SearchWithRunner with FindSequentialContext, one full replay per probe
+// (pinned by the search parity suite) — this path changes only what a
+// probe costs.
 
-// SearchFrontier is SearchFrontierContext without cancellation.
-func SearchFrontier(g *graph.Graph, so SearchOptions) (float64, *Result, error) {
-	return SearchFrontierContext(context.Background(), g, so)
-}
-
-// SearchFrontierContext bisects over ε with cached frontier probes; see
+// SearchFrontierContext bisects over ε with cached probes; see
 // the file comment. Cancellation is observed between probes and inside
 // the shared traversal; the error wraps the context error.
 func SearchFrontierContext(ctx context.Context, g *graph.Graph, so SearchOptions) (float64, *Result, error) {
@@ -45,7 +41,7 @@ func SearchFrontierContext(ctx context.Context, g *graph.Graph, so SearchOptions
 
 	probe := func(eps float64) (bool, error) {
 		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("core: frontier search interrupted: %w", err)
+			return false, fmt.Errorf("core: search interrupted: %w", err)
 		}
 		return cache.probe(eps), nil
 	}
@@ -98,14 +94,15 @@ type searchCache struct {
 // buildSearchCache runs the shared traversal and captures everything a
 // probe needs. A context error aborts (wrapped); an oversized component
 // marks the cache failed — the condition is ε-invariant, so it fails
-// every probe exactly as it fails every SearchContext probe.
+// every probe exactly as it fails every full-replay probe.
 func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, need int, scratch *seqScratch) (*searchCache, error) {
 	opts, err := Options{
-		Epsilon:        so.EpsMax, // any valid ε: the traversal draws no ε-dependent state
-		ExpectedSample: so.ExpectedSample,
-		Seed:           so.Seed,
-		Versions:       so.Versions,
-		MinSize:        need,
+		Epsilon:          so.EpsMax, // any valid ε: the traversal draws no ε-dependent state
+		ExpectedSample:   so.ExpectedSample,
+		Seed:             so.Seed,
+		Versions:         so.Versions,
+		MinSize:          need,
+		MaxComponentSize: so.MaxComponentSize,
 	}.validated(g.N())
 	if err != nil {
 		return nil, err
@@ -207,7 +204,7 @@ func candidateOrderBefore(a, b *seqComp, versions int) bool {
 
 // probe reports whether ε detects: some candidate commits with ≥ need
 // members (MinSize already enforces the floor) and the best one's
-// density meets 1−ε — the identical success predicate SearchContext's
+// density meets 1−ε — the identical success predicate SearchWithRunner's
 // full probes apply.
 func (c *searchCache) probe(eps float64) bool {
 	if c.failed {

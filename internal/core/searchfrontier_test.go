@@ -44,7 +44,7 @@ func TestSearchFrontierMatchesSequentialSearch(t *testing.T) {
 		g := tc.g
 		for seed := int64(1); seed <= 4; seed++ {
 			so := tc.opts(seed)
-			wantEps, wantRes, wantErr := SearchContext(context.Background(), g, so)
+			wantEps, wantRes, wantErr := SearchWithRunner(context.Background(), g, so, FindSequentialContext)
 			gotEps, gotRes, gotErr := SearchFrontierContext(context.Background(), g, so)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s seed %d: error mismatch: seq %v, frontier %v", name, seed, wantErr, gotErr)
@@ -71,7 +71,7 @@ func TestSearchFrontierMatchesSequentialSearch(t *testing.T) {
 func TestSearchFrontierNotFoundParity(t *testing.T) {
 	g := gen.Empty(300) // nothing to find at any ε
 	so := SearchOptions{Rho: 0.5, ExpectedSample: 6, Seed: 3}
-	_, _, seqErr := SearchContext(context.Background(), g, so)
+	_, _, seqErr := SearchWithRunner(context.Background(), g, so, FindSequentialContext)
 	_, _, froErr := SearchFrontierContext(context.Background(), g, so)
 	if !errors.Is(seqErr, ErrNotFound) || !errors.Is(froErr, ErrNotFound) {
 		t.Fatalf("want ErrNotFound from both paths, got seq %v, frontier %v", seqErr, froErr)
@@ -97,7 +97,7 @@ func TestSearchFrontierCancellation(t *testing.T) {
 func TestSearchWithRunnerEngineParity(t *testing.T) {
 	g := gen.SparsePlantedNearClique(400, 120, 0.01, 8, 5).Graph
 	so := searchParityOptions(2)
-	seqEps, seqRes, err := SearchContext(context.Background(), g, so)
+	seqEps, seqRes, err := SearchWithRunner(context.Background(), g, so, FindSequentialContext)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package expt defines the experiment suite that regenerates every
 // empirical claim of the paper (see DESIGN.md §4 for the index E1..E10).
-// Each experiment produces one or more Tables; cmd/experiments prints them
-// and EXPERIMENTS.md records paper-expectation versus measurement.
+// Each experiment produces one or more Tables, each pairing the paper's
+// expectation with the measurement; go run ./cmd/experiments prints them.
 package expt
 
 import (
@@ -24,7 +24,7 @@ type Config struct {
 type Table struct {
 	ID     string
 	Title  string
-	Note   string // the paper's expectation, for EXPERIMENTS.md
+	Note   string // the paper's expectation, printed with the table
 	Header []string
 	Rows   [][]string
 }

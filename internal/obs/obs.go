@@ -26,8 +26,8 @@
 //
 // All record-side methods are nil-receiver-safe no-ops, so call sites
 // need no "is observability on" branches — a disabled server simply
-// holds nil histograms, the same pattern the frontier engine uses for
-// its nil *flightTrace.
+// holds nil histograms, the same pattern the centralized replay uses
+// for its nil *flightTrace.
 package obs
 
 import (

@@ -251,8 +251,8 @@ type Measurement struct {
 	SpeedupLegacy float64 `json:"speedup_vs_legacy,omitempty"`
 	// Batched ε-Search throughput (cmd/bench -search-batch rows only):
 	// Searches full bisections over independent coin seeds, Probes the
-	// total probe runs they issued, with throughput and the frontier
-	// engine's advantage over per-probe sharded simulation derived.
+	// total probe runs they issued, with throughput and the cached
+	// search's advantage over per-probe sharded simulation derived.
 	Searches       int     `json:"searches,omitempty"`
 	Probes         int     `json:"probes,omitempty"`
 	ProbesPerSec   float64 `json:"probes_per_sec,omitempty"`

@@ -422,11 +422,11 @@ func (s *Server) cheapPredicted(f costmodel.Features) bool {
 }
 
 // autoCandidates are the engines engine=auto chooses among, in
-// preference order: the sequential replay (the static default), the
-// frontier kernels, and the sharded simulator — the serving-grade
-// executors. The cost model routes to frontier once its fitted curve
-// reliably beats the others for the request's features.
-var autoCandidates = []string{"seq", "frontier", "sharded"}
+// preference order: the centralized replay (the static default) and the
+// sharded simulator — the serving-grade executors. The cost model picks
+// whichever it reliably predicts cheaper for the request's features, the
+// first on a tie.
+var autoCandidates = []string{"seq", "sharded"}
 
 // resolveAuto resolves engine=auto for a request against a known graph:
 // the cost model picks the cheapest reliably-predicted engine; with too

@@ -334,6 +334,34 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
+// TestFrontierSpellingSharesSeqCacheEntry: "frontier" is an old spelling
+// of the centralized replay, so it canonicalizes to "seq" — one cache
+// entry, one body, naming the engine that ran.
+func TestFrontierSpellingSharesSeqCacheEntry(t *testing.T) {
+	path := writeTestSnapshot(t)
+	s := New(Config{Concurrency: 1, CacheBytes: 1 << 20})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if _, err := s.LoadGraph("g", path); err != nil {
+		t.Fatal(err)
+	}
+	s1, b1, c1 := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"frontier","seed":4}`)
+	s2, b2, c2 := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"seq","seed":4}`)
+	if s1 != http.StatusOK || s2 != http.StatusOK {
+		t.Fatalf("status %d/%d: %s / %s", s1, s2, b1, b2)
+	}
+	if c1 != "miss" || c2 != "hit" {
+		t.Fatalf("cache %q then %q, want miss then hit", c1, c2)
+	}
+	if st := s.cache.stats(); st.Entries != 1 {
+		t.Fatalf("%d cache entries, want 1", st.Entries)
+	}
+	if !bytes.Equal(b1, b2) || !bytes.Contains(b1, []byte(`"engine":"seq"`)) {
+		t.Fatalf("bodies differ or do not name seq:\n%s\n%s", b1, b2)
+	}
+}
+
 // TestDisabledCacheKeepsCountersCoherent: with caching off, neither the
 // global nor the per-graph cache counters move — the two views of the
 // same traffic must never disagree — while solves still count.

@@ -72,8 +72,8 @@
 //	if err != nil { ... }
 //	best := res.Best() // largest reported near-clique, or nil
 //
-// See DESIGN.md for the architecture and EXPERIMENTS.md for the
-// reproduction of every claim in the paper.
+// See DESIGN.md for the architecture; go run ./cmd/experiments
+// reproduces every claim in the paper.
 package nearclique
 
 import (
@@ -238,10 +238,10 @@ var ErrNotFound = core.ErrNotFound
 // the practical analogue of Fischer & Newman's minimum-distance estimation
 // (the paper's related work [9]).
 //
-// Deprecated: use New(…).Search(ctx, g, rho); this wrapper forwards there
-// with a background context.
+// Deprecated: use New(…).Search(ctx, g, rho); this wrapper runs the same
+// cached bisection with a background context.
 func SearchMinEpsilon(g *Graph, so SearchOptions) (float64, *Result, error) {
-	return core.SearchMinEpsilon(g, so)
+	return core.SearchFrontierContext(context.Background(), g, so)
 }
 
 // --- Baselines (Section 3 of the paper) --------------------------------
@@ -253,7 +253,8 @@ type ShinglesOptions = baseline.ShinglesOptions
 type ShinglesResult = baseline.ShinglesResult
 
 // Shingles runs the Section-3 shingles baseline (fast, small messages, but
-// provably fails on the Claim-1 family; see EXPERIMENTS.md E4).
+// provably fails on the Claim-1 family; see experiment E4, go run
+// ./cmd/experiments -run E4).
 func Shingles(g *Graph, opts ShinglesOptions) (*ShinglesResult, error) {
 	return baseline.Shingles(g, opts)
 }

@@ -21,18 +21,19 @@ import (
 type Engine uint8
 
 const (
-	// EngineAuto picks the cheapest faithful execution: the centralized
-	// replay of EngineSequential for Solve, the cached bisection of
-	// EngineFrontier for Search. Choose a simulator engine explicitly when
-	// you need round/frame/bit metrics.
+	// EngineAuto runs the centralized replay of EngineSequential, for
+	// Solve and Search alike. Choose a simulator engine explicitly when you
+	// need round/frame/bit metrics.
 	EngineAuto Engine = iota
 	// EngineSequential is the centralized replay (core.FindSequential):
 	// identical outputs, no message simulation, the fastest and lightest
 	// option. Components are discovered by 64-seed cluster floods over
 	// the CSR arena and each component's voters are gathered from its
 	// members' rows alone; with a flight recorder attached it emits one
-	// round event per traversal wave. Search runs one full replay per
-	// probe.
+	// round event per traversal wave. Search runs that traversal once and
+	// re-evaluates only the ε-dependent thresholds per probe
+	// (core.SearchFrontierContext), since the sampling coins never depend
+	// on ε.
 	EngineSequential
 	// EngineSharded is the sharded flat-buffer CONGEST simulator
 	// (DESIGN.md §5): full metrics, scales to million-node graphs.
@@ -44,12 +45,6 @@ const (
 	// Awerbuch's α-synchronizer; the synchronizer overhead appears in the
 	// Async* metrics.
 	EngineAsync
-	// EngineFrontier runs the same centralized replay as EngineSequential
-	// for Solve — one code path, so output and flight events are
-	// identical — and differs only in Search, where one cached traversal
-	// serves the whole ε bisection. The spelling stays so that cache
-	// keys, CLI flags and cost-model names keep working.
-	EngineFrontier
 	// EngineShadow is the Turán-shadow counting engine (internal/shadow):
 	// degeneracy-ordered DAG refinement plus weighted sampling that
 	// estimates k-clique and near-clique counts with provable error
@@ -59,6 +54,11 @@ const (
 	// parallelism, like every other engine.
 	EngineShadow
 )
+
+// EngineFrontier is the old name of the centralized replay.
+//
+// Deprecated: use EngineSequential; ParseEngine("frontier") returns it.
+const EngineFrontier = EngineSequential
 
 func (e Engine) String() string {
 	switch e {
@@ -72,8 +72,6 @@ func (e Engine) String() string {
 		return "legacy"
 	case EngineAsync:
 		return "async"
-	case EngineFrontier:
-		return "frontier"
 	case EngineShadow:
 		return "shadow"
 	}
@@ -81,12 +79,14 @@ func (e Engine) String() string {
 }
 
 // ParseEngine maps the flag spellings used by the cmd/ tools ("auto",
-// "seq", "sharded", "legacy", "async", "frontier") to an Engine.
+// "seq", "sharded", "legacy", "async", "shadow") to an Engine. The
+// aliases "sequential" and "frontier" map to EngineSequential, so they
+// share its canonical name, cache keys and cost-model curve.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "auto":
 		return EngineAuto, nil
-	case "seq", "sequential":
+	case "seq", "sequential", "frontier":
 		return EngineSequential, nil
 	case "sharded":
 		return EngineSharded, nil
@@ -94,12 +94,10 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineLegacy, nil
 	case "async":
 		return EngineAsync, nil
-	case "frontier":
-		return EngineFrontier, nil
 	case "shadow":
 		return EngineShadow, nil
 	}
-	return EngineAuto, fmt.Errorf("nearclique: unknown engine %q (want auto|seq|sharded|legacy|async|frontier|shadow)", s)
+	return EngineAuto, fmt.Errorf("nearclique: unknown engine %q (want auto|seq|sharded|legacy|async|shadow)", s)
 }
 
 // config is the resolved Solver configuration. The embedded core options
@@ -433,7 +431,7 @@ func (s *Solver) solve(ctx context.Context, g *Graph, opts Options) (*Result, er
 	var res *Result
 	var err error
 	switch s.cfg.engine {
-	case EngineAuto, EngineSequential, EngineFrontier:
+	case EngineAuto, EngineSequential:
 		opts.Async = false
 		res, err = core.FindSequentialContext(ctx, g, opts)
 	case EngineSharded:
@@ -593,13 +591,13 @@ func (s *Solver) SolveBatch(ctx context.Context, graphs []*Graph) ([]*Result, er
 // With WithRefine configured the winning probe's result is refined like a
 // Solve result, a near-objective spec inheriting the found ε.
 //
-// Probes execute on the configured engine: EngineAuto and EngineFrontier
-// run the cached frontier path — one traversal serves the whole
-// bisection, since the sampling coins never depend on ε — while
-// EngineSequential re-runs a full sequential probe per ε and the
+// Probes execute on the configured engine: EngineAuto and
+// EngineSequential run the replay's traversal once for the whole
+// bisection, since the sampling coins never depend on ε, while the
 // simulator engines simulate every probe (so probe cost reflects the
 // engine, with metrics to match). The returned ε and Result transcript
 // are identical on every engine, pinned by the search parity suite.
+// WithMaxComponentSize caps every probe's components as it caps Solve's.
 func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *Result, error) {
 	versions := 0 // core's search default (4): probes must be reliable
 	if s.cfg.versionsSet {
@@ -613,14 +611,15 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 		sample = s.cfg.opts.P * float64(g.N())
 	}
 	so := core.SearchOptions{
-		Rho:            rho,
-		ExpectedSample: sample,
-		Versions:       versions,
-		Steps:          s.cfg.searchSteps,
-		EpsMin:         s.cfg.searchMin,
-		EpsMax:         s.cfg.searchMax,
-		Seed:           s.cfg.opts.Seed,
-		Flight:         s.cfg.opts.Flight,
+		Rho:              rho,
+		ExpectedSample:   sample,
+		Versions:         versions,
+		Steps:            s.cfg.searchSteps,
+		EpsMin:           s.cfg.searchMin,
+		EpsMax:           s.cfg.searchMax,
+		Seed:             s.cfg.opts.Seed,
+		MaxComponentSize: s.cfg.opts.MaxComponentSize,
+		Flight:           s.cfg.opts.Flight,
 	}
 	var eps float64
 	var res *Result
@@ -628,10 +627,8 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 	switch s.cfg.engine {
 	case EngineShadow:
 		return 0, nil, errors.New("nearclique: engine=shadow serves Count/Sample, not Search")
-	case EngineAuto, EngineFrontier:
+	case EngineAuto, EngineSequential:
 		eps, res, err = core.SearchFrontierContext(ctx, g, so)
-	case EngineSequential:
-		eps, res, err = core.SearchContext(ctx, g, so)
 	case EngineSharded, EngineLegacy, EngineAsync:
 		eps, res, err = core.SearchWithRunner(ctx, g, so,
 			func(ctx context.Context, g *Graph, opts Options) (*Result, error) {

@@ -227,6 +227,42 @@ func TestSearchHonorsSamplingProbability(t *testing.T) {
 	}
 }
 
+// TestSearchHonorsMaxComponentSize pins that Search probes with the
+// configured component cap, as Solve does: on this instance a sampled
+// component exceeds the default cap of 16, so a search at that default
+// finds nothing. Only the replay engines run here: a simulated search
+// enumerates 2^17 subsets per probe.
+func TestSearchHonorsMaxComponentSize(t *testing.T) {
+	g := nearclique.GenPlantedNearClique(400, 200, 0, 0.01, 3).Graph
+	for _, engine := range []nearclique.Engine{nearclique.EngineAuto, nearclique.EngineSequential} {
+		s, err := nearclique.New(
+			nearclique.WithEngine(engine),
+			nearclique.WithExpectedSample(28),
+			nearclique.WithSeed(3),
+			nearclique.WithVersions(1),
+			nearclique.WithMaxComponentSize(17),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Solve(context.Background(), g)
+		if err != nil {
+			t.Fatalf("%v: Solve: %v", engine, err)
+		}
+		if res.MaxComponent <= 16 {
+			t.Fatalf("%v: max component %d, want > 16 (the default cap)", engine, res.MaxComponent)
+		}
+		eps, res, err := s.Search(context.Background(), g, 0.3)
+		if err != nil {
+			t.Fatalf("%v: Search: %v", engine, err)
+		}
+		best := res.Best()
+		if best == nil || len(best.Members) < 120 || eps >= 0.1 {
+			t.Fatalf("%v: Search ε=%v best %+v, want a ≥ 120-member near-clique at small ε", engine, eps, best)
+		}
+	}
+}
+
 // TestDeprecatedWrappersStayByteIdentical drives every deprecated free
 // function through the Solver path and pins it against the internal
 // entry points it used to call directly — the compatibility contract CI
