@@ -5,10 +5,10 @@
 package nearclique_test
 
 import (
+	"context"
 	"testing"
 
 	"nearclique"
-	"nearclique/internal/congest"
 	"nearclique/internal/expt"
 )
 
@@ -43,79 +43,63 @@ func BenchmarkE12_ComplementMIS(b *testing.B)         { benchExperiment(b, "E12"
 
 // Micro-benchmarks of the two execution paths on one planted instance.
 
-func BenchmarkFindDistributed(b *testing.B) {
-	inst := nearclique.GenPlantedNearClique(300, 100, 0.01, 0.03, 1)
-	opts := nearclique.Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 2}
+// benchSolve times Solve of one Solver on g.
+func benchSolve(b *testing.B, g *nearclique.Graph, opts ...nearclique.Option) {
+	b.Helper()
+	s := newSolver(b, opts...)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nearclique.Find(inst.Graph, opts); err != nil {
+		if _, err := s.Solve(ctx, g); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkFindDistributed(b *testing.B) {
+	benchSolve(b, genPlanted(b, 300, 100, 0.01, 0.03, 1).Graph,
+		nearclique.WithEngine(nearclique.EngineSharded), nearclique.WithSeed(2))
 }
 
 // BenchmarkFindDistributedLegacy is the same workload on the legacy
 // reference engine; the ratio to BenchmarkFindDistributed is the
 // engine-rewrite speedup on a full protocol run.
 func BenchmarkFindDistributedLegacy(b *testing.B) {
-	inst := nearclique.GenPlantedNearClique(300, 100, 0.01, 0.03, 1)
-	opts := nearclique.Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 2,
-		Engine: congest.EngineLegacy}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nearclique.Find(inst.Graph, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolve(b, genPlanted(b, 300, 100, 0.01, 0.03, 1).Graph,
+		nearclique.WithEngine(nearclique.EngineLegacy), nearclique.WithSeed(2))
 }
 
 // BenchmarkFindDistributedLarge runs the distributed protocol at n=20000
-// on a sparse planted instance — a size the per-edge-queue engine
-// struggled with; pair with BenchmarkFindDistributedLargeLegacy.
+// on a sparse planted instance (expected background degree 20) — a size
+// the per-edge-queue engine struggled with; pair with
+// BenchmarkFindDistributedLargeLegacy.
 func BenchmarkFindDistributedLarge(b *testing.B) {
-	benchFindLarge(b, 0)
+	benchFindLarge(b, nearclique.EngineSharded)
 }
 
 func BenchmarkFindDistributedLargeLegacy(b *testing.B) {
-	benchFindLarge(b, congest.EngineLegacy)
+	benchFindLarge(b, nearclique.EngineLegacy)
 }
 
-func benchFindLarge(b *testing.B, engine congest.Engine) {
+func benchFindLarge(b *testing.B, engine nearclique.Engine) {
 	b.Helper()
-	inst := nearclique.GenSparsePlantedNearClique(20000, 600, 0.01, 20, 1)
-	opts := nearclique.Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 2, Engine: engine}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nearclique.Find(inst.Graph, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	const n = 20000
+	benchSolve(b, genPlanted(b, n, 600, 0.01, 20.0/(n-1), 1).Graph,
+		nearclique.WithEngine(engine), nearclique.WithSeed(2))
 }
 
 func BenchmarkFindSequential(b *testing.B) {
-	inst := nearclique.GenPlantedNearClique(300, 100, 0.01, 0.03, 1)
-	opts := nearclique.Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nearclique.FindSequential(inst.Graph, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolve(b, genPlanted(b, 300, 100, 0.01, 0.03, 1).Graph,
+		nearclique.WithEngine(nearclique.EngineSequential), nearclique.WithSeed(2))
 }
 
 func BenchmarkFindSequentialLarge(b *testing.B) {
-	inst := nearclique.GenPlantedNearClique(2000, 600, 0.01, 0.01, 1)
-	opts := nearclique.Options{Epsilon: 0.25, ExpectedSample: 7, Seed: 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nearclique.FindSequential(inst.Graph, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolve(b, genPlanted(b, 2000, 600, 0.01, 0.01, 1).Graph,
+		nearclique.WithEngine(nearclique.EngineSequential), nearclique.WithExpectedSample(7), nearclique.WithSeed(2))
 }
 
 func BenchmarkShinglesBaseline(b *testing.B) {
-	inst := nearclique.GenPlantedClique(300, 100, 0.03, 1)
+	inst := generate(b, nearclique.GenSpec{Family: "clique", N: 300, Size: 100, P: 0.03, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := nearclique.Shingles(inst.Graph, nearclique.ShinglesOptions{
@@ -127,7 +111,7 @@ func BenchmarkShinglesBaseline(b *testing.B) {
 }
 
 func BenchmarkNeighborsNeighborsBaseline(b *testing.B) {
-	inst := nearclique.GenPlantedClique(150, 50, 0.03, 1)
+	inst := generate(b, nearclique.GenSpec{Family: "clique", N: 150, Size: 50, P: 0.03, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := nearclique.NeighborsNeighbors(inst.Graph, nearclique.NNOptions{

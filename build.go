@@ -8,10 +8,9 @@ import (
 // This file is the unified graph-construction surface: one Build entry
 // point and one Generate entry point that auto-select the dense-bitset or
 // CSR-sparse internal representation from n and m (see DESIGN.md §7 for
-// the thresholds). The representation-specific constructors (NewBuilder,
-// NewSparseBuilder, FromEdges, FromEdgeList and the Gen*/GenSparse*
-// generators) remain available as deprecated wrappers with unchanged
-// outputs.
+// the thresholds). They are the only graph constructors the package
+// exports; the representation-specific builders and generators stay
+// internal.
 
 // GraphBuilder accumulates edges and selects the graph representation at
 // Build time from the observed node and edge counts: dense adjacency
@@ -24,8 +23,7 @@ type GraphBuilder = graph.AutoBuilder
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewAutoBuilder(n) }
 
 // Build constructs a graph on n nodes from an edge list, selecting the
-// representation automatically. It subsumes FromEdges (always dense) and
-// FromEdgeList (always sparse).
+// representation automatically.
 func Build(n int, edges [][2]int) *Graph { return graph.FromEdgesAuto(n, edges) }
 
 // GenSpec declares a graph family and its parameters for Generate: set
@@ -38,11 +36,10 @@ type GenResult = gen.Generated
 
 // Generate builds a graph family through the unified entry point,
 // auto-selecting the dense or sparse generation path by n and the
-// expected edge count. It subsumes the paired Gen*/GenSparse* free
-// functions; for randomized families the representation choice is part of
-// the deterministic output contract (same GenSpec ⇒ same graph, always),
-// so dense-path and sparse-path twins of the same distribution are
-// different — equally valid — draws.
+// expected edge count. For randomized families the representation choice
+// is part of the deterministic output contract (same GenSpec ⇒ same
+// graph, always), so dense-path and sparse-path twins of the same
+// distribution are different — equally valid — draws.
 //
 //	inst, err := nearclique.Generate(nearclique.GenSpec{
 //	        Family: "planted", N: 100_000, Size: 3_000, EpsIn: 0.01,

@@ -15,7 +15,10 @@ import (
 
 func edgeList(t *testing.T) string {
 	t.Helper()
-	inst := nearclique.GenPlantedClique(100, 35, 0.03, 9)
+	inst, err := nearclique.Generate(nearclique.GenSpec{Family: "clique", N: 100, Size: 35, P: 0.03, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := nearclique.WriteGraph(&buf, inst.Graph); err != nil {
 		t.Fatal(err)
@@ -103,8 +106,10 @@ func TestRunBadInput(t *testing.T) {
 	if code := run(nil, strings.NewReader("not an edge list"), &out, &errOut); code == 0 {
 		t.Fatal("bad input accepted")
 	}
-	if code := run([]string{"-eps", "0.9"}, strings.NewReader("0 1\n"), &out, &errOut); code == 0 {
-		t.Fatal("bad epsilon accepted")
+	for _, eps := range []string{"0.9", "NaN", "+Inf"} {
+		if code := run([]string{"-eps", eps}, strings.NewReader("0 1\n"), &out, &errOut); code == 0 {
+			t.Fatalf("bad epsilon %s accepted", eps)
+		}
 	}
 	if code := run([]string{"nonexistent-file.edges"}, strings.NewReader(""), &out, &errOut); code == 0 {
 		t.Fatal("missing file accepted")
@@ -187,7 +192,10 @@ func TestRunDistributedAsync(t *testing.T) {
 // identical output through the file-argument path, and the snapshot must
 // also work piped through stdin.
 func TestRunAutoDetectsInputFormats(t *testing.T) {
-	inst := nearclique.GenPlantedClique(100, 35, 0.03, 9)
+	inst, err := nearclique.Generate(nearclique.GenSpec{Family: "clique", N: 100, Size: 35, P: 0.03, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 
 	textPath := filepath.Join(dir, "g.edges")

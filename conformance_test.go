@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"nearclique"
+	"nearclique/internal/gen"
 )
 
 // conformanceCase is one planted-clique workload with its pinned
@@ -24,7 +25,7 @@ import (
 // seed-state quality this suite refuses to regress below.
 type conformanceCase struct {
 	name        string
-	planted     nearclique.PlantedGraph
+	planted     gen.Planted
 	sample      float64 // expected sample size s = p·n
 	eps         float64
 	minSizeFrac float64 // guaranteed size as a fraction of the planted set
@@ -37,7 +38,7 @@ func conformanceCases() []conformanceCase {
 			// Dense construction path: a strict 180-clique (δ = 0.3) over
 			// a G(n, 0.03) background.
 			name:        "dense/planted-clique",
-			planted:     nearclique.GenPlantedClique(600, 180, 0.03, 5),
+			planted:     gen.PlantedClique(600, 180, 0.03, 5),
 			sample:      6,
 			eps:         0.25,
 			minSizeFrac: 0.95,
@@ -48,7 +49,7 @@ func conformanceCases() []conformanceCase {
 			// an average-degree-6 background — the Corollary 2.3 regime,
 			// sampled at s = 4n/size.
 			name:        "sparse/planted-clique",
-			planted:     nearclique.GenSparsePlantedNearClique(1500, 200, 0, 6, 7),
+			planted:     gen.SparsePlantedNearClique(1500, 200, 0, 6, 7),
 			sample:      30,
 			eps:         0.25,
 			minSizeFrac: 0.95,

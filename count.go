@@ -51,7 +51,7 @@ func WithSamples(n int) Option {
 // (default 0.99, exclusive range (0, 1)).
 func WithConfidence(conf float64) Option {
 	return func(c *config) error {
-		if conf <= 0 || conf >= 1 {
+		if !(0 < conf && conf < 1) {
 			return fmt.Errorf("nearclique: Confidence %v outside (0, 1)", conf)
 		}
 		c.confidence = conf

@@ -15,7 +15,7 @@ func countTestGraph() *Graph {
 		}
 	}
 	edges = append(edges, [2]int{5, 6}, [2]int{6, 7}, [2]int{7, 8}, [2]int{8, 9})
-	return FromEdges(10, edges)
+	return Build(10, edges)
 }
 
 func TestParseEngineShadow(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 )
 
 func TestErrRoundLimitIsWrapped(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(200, 70, 0.01, 0.04, 3).Graph
+	g := genPlanted(t, 200, 70, 0.01, 0.04, 3).Graph
 	s, err := nearclique.New(
 		nearclique.WithEngine(nearclique.EngineSharded),
 		nearclique.WithMaxRounds(2),
@@ -79,7 +79,7 @@ func TestErrInputTooLargeIsWrapped(t *testing.T) {
 }
 
 func TestCancellationSurfacesAsContextErrors(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(300, 90, 0.01, 0.04, 5).Graph
+	g := genPlanted(t, 300, 90, 0.01, 0.04, 5).Graph
 	for _, engine := range []nearclique.Engine{
 		nearclique.EngineSequential, nearclique.EngineSharded,
 		nearclique.EngineLegacy, nearclique.EngineAsync,
@@ -102,7 +102,7 @@ func TestCancellationSurfacesAsContextErrors(t *testing.T) {
 }
 
 func TestSearchCancellationIsNotErrNotFound(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(300, 100, 0.01, 0.04, 6).Graph
+	g := genPlanted(t, 300, 100, 0.01, 0.04, 6).Graph
 	s, err := nearclique.New(nearclique.WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestSearchCancellationIsNotErrNotFound(t *testing.T) {
 func TestSolveBatchCancellation(t *testing.T) {
 	var graphs []*nearclique.Graph
 	for seed := int64(0); seed < 6; seed++ {
-		graphs = append(graphs, nearclique.GenPlantedNearClique(200, 60, 0.01, 0.04, seed).Graph)
+		graphs = append(graphs, genPlanted(t, 200, 60, 0.01, 0.04, seed).Graph)
 	}
 	s, err := nearclique.New(nearclique.WithBatchWorkers(3))
 	if err != nil {
@@ -142,7 +142,7 @@ func TestSolveBatchCancellation(t *testing.T) {
 // test ever fails, sentinels are being returned unwrapped and the
 // analyzer's premise no longer holds.
 func TestWrappedSentinelsNeverCompareEqual(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(200, 70, 0.01, 0.04, 3).Graph
+	g := genPlanted(t, 200, 70, 0.01, 0.04, 3).Graph
 	s, err := nearclique.New(
 		nearclique.WithEngine(nearclique.EngineSharded),
 		nearclique.WithMaxRounds(2),

@@ -18,7 +18,12 @@ import (
 // Example builds a planted instance, configures a reusable Solver on the
 // sharded CONGEST simulator, and solves one graph.
 func Example() {
-	inst := nearclique.GenPlantedNearClique(500, 150, 0.01, 0.05, 1)
+	inst, err := nearclique.Generate(nearclique.GenSpec{
+		Family: "planted", N: 500, Size: 150, EpsIn: 0.01, P: 0.05, Seed: 1,
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	s, err := nearclique.New(
 		nearclique.WithEngine(nearclique.EngineSharded),
@@ -45,7 +50,13 @@ func Example() {
 func Example_solveBatch() {
 	var graphs []*nearclique.Graph
 	for seed := int64(1); seed <= 3; seed++ {
-		graphs = append(graphs, nearclique.GenPlantedNearClique(300, 100, 0.01, 0.04, seed).Graph)
+		inst, err := nearclique.Generate(nearclique.GenSpec{
+			Family: "planted", N: 300, Size: 100, EpsIn: 0.01, P: 0.04, Seed: seed,
+		})
+		if err != nil {
+			panic(err)
+		}
+		graphs = append(graphs, inst.Graph)
 	}
 
 	s, err := nearclique.New(
@@ -74,7 +85,12 @@ func Example_solveBatch() {
 // as a wrapped context.Canceled, never a bespoke error, and the returned
 // result still carries the metrics accumulated before the interruption.
 func Example_cancellation() {
-	g := nearclique.GenPlantedNearClique(400, 120, 0.01, 0.04, 2).Graph
+	inst, err := nearclique.Generate(nearclique.GenSpec{
+		Family: "planted", N: 400, Size: 120, EpsIn: 0.01, P: 0.04, Seed: 2,
+	})
+	if err != nil {
+		panic(err)
+	}
 	s, err := nearclique.New(nearclique.WithEngine(nearclique.EngineSharded))
 	if err != nil {
 		panic(err)
@@ -83,14 +99,14 @@ func Example_cancellation() {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before the run: it stops at the first round boundary
 
-	res, err := s.Solve(ctx, g)
+	res, err := s.Solve(ctx, inst.Graph)
 	fmt.Println("canceled:", errors.Is(err, context.Canceled))
 	fmt.Println("partial result returned:", res != nil)
 
 	// Deadlines work the same way.
 	ctx, cancel = context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = s.Solve(ctx, g)
+	_, err = s.Solve(ctx, inst.Graph)
 	fmt.Println("deadline exceeded:", errors.Is(err, context.DeadlineExceeded))
 	// Output:
 	// canceled: true
@@ -101,7 +117,12 @@ func Example_cancellation() {
 // Example_progress installs a per-step progress callback — the serving
 // hook for liveness, logging, and cancellation decisions.
 func Example_progress() {
-	g := nearclique.GenPlantedNearClique(300, 90, 0.01, 0.04, 3).Graph
+	inst, err := nearclique.Generate(nearclique.GenSpec{
+		Family: "planted", N: 300, Size: 90, EpsIn: 0.01, P: 0.04, Seed: 3,
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	steps := 0
 	var last nearclique.Progress
@@ -116,7 +137,7 @@ func Example_progress() {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := s.Solve(context.Background(), g); err != nil {
+	if _, err := s.Solve(context.Background(), inst.Graph); err != nil {
 		panic(err)
 	}
 	fmt.Printf("observed %d of %d steps; final phase %q\n", steps, last.Total, last.Phase)

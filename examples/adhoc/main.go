@@ -33,7 +33,13 @@ func run(w io.Writer) error {
 		radius = 0.12
 		seed   = 23
 	)
-	g, pos := nearclique.GenRandomGeometric(radios, radius, seed)
+	geo, err := nearclique.Generate(nearclique.GenSpec{
+		Family: "geometric", N: radios, Radius: radius, Seed: seed,
+	})
+	if err != nil {
+		return err
+	}
+	g, pos := geo.Graph, geo.Positions
 
 	// Add a dense hotspot: 40 radios packed into one corner cell, all
 	// within range of each other. The unified builder picks the graph

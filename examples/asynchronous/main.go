@@ -33,7 +33,12 @@ func run(w io.Writer) error {
 		eps  = 0.25
 		seed = 41
 	)
-	inst := nearclique.GenPlantedNearClique(n, n/3, eps*eps*eps, 0.04, seed)
+	inst, err := nearclique.Generate(nearclique.GenSpec{
+		Family: "planted", N: n, Size: n / 3, EpsIn: eps * eps * eps, P: 0.04, Seed: seed,
+	})
+	if err != nil {
+		return err
+	}
 
 	// Engines are a Solver option: the same configuration runs on the
 	// synchronous sharded simulator or the asynchronous executor, and the

@@ -38,7 +38,11 @@ func run(w io.Writer) error {
 	// snapshots: from loose chatter to a tight event community.
 	missing := []float64{0.9, 0.6, 0.3, 0.1, 0.04, 0.01}
 
-	base := nearclique.GenErdosRenyi(blogs, 0.02, seed)
+	er, err := nearclique.Generate(nearclique.GenSpec{Family: "er", N: blogs, P: 0.02, Seed: seed})
+	if err != nil {
+		return err
+	}
+	base := er.Graph
 	fmt.Fprintf(w, "blog graph: %d blogs, background density 0.02; community of %d blogs densifying weekly\n\n",
 		blogs, commSize)
 	fmt.Fprintf(w, "%-6s %-22s %-14s %-20s\n", "week", "community missing-pairs", "burst found?", "largest near-clique")

@@ -33,7 +33,12 @@ func run(w io.Writer) error {
 		seed = 17
 	)
 	dSize := n * 35 / 100 // δn with δ = 0.35
-	inst := nearclique.GenPlantedClique(n, dSize, 0.02, seed)
+	inst, err := nearclique.Generate(nearclique.GenSpec{
+		Family: "clique", N: n, Size: dSize, P: 0.02, Seed: seed,
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "planted clique: %d of %d nodes; deliberately small sample s=4\n\n", dSize, n)
 
 	ctx := context.Background()

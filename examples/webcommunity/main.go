@@ -35,8 +35,11 @@ func run(w io.Writer) error {
 		seed      = 11
 		minReport = 20
 	)
-	web := nearclique.GenPreferentialAttachment(n, 3, seed)
-	g, community := nearclique.EmbedCommunity(web, commSize, commEps, seed+1)
+	web, err := nearclique.Generate(nearclique.GenSpec{Family: "web", N: n, M: 3, Seed: seed})
+	if err != nil {
+		return err
+	}
+	g, community := nearclique.EmbedCommunity(web.Graph, commSize, commEps, seed+1)
 	fmt.Fprintf(w, "web graph: %d nodes, %d edges; embedded a %.2f-near clique community of %d pages\n",
 		g.N(), g.M(), commEps, len(community))
 

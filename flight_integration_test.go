@@ -26,7 +26,6 @@ func TestFlightTranscriptsIdenticalAcrossEngines(t *testing.T) {
 		nearclique.EngineSharded,
 		nearclique.EngineLegacy,
 		nearclique.EngineAsync,
-		nearclique.EngineFrontier,
 	}
 	for _, fixture := range goldenFixtures(t) {
 		g, closeGraph, err := nearclique.LoadGraph(fixture)
@@ -92,7 +91,7 @@ func TestFlightTranscriptsIdenticalAcrossEngines(t *testing.T) {
 func TestFlightSolveBatchSharedRecorder(t *testing.T) {
 	var graphs []*nearclique.Graph
 	for i := 0; i < 12; i++ {
-		graphs = append(graphs, nearclique.GenErdosRenyi(80+i, 0.15, int64(9+i)))
+		graphs = append(graphs, genER(t, 80+i, 0.15, int64(9+i)))
 	}
 	opts := []nearclique.Option{
 		nearclique.WithEngine(nearclique.EngineSharded),

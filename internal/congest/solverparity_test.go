@@ -1,7 +1,7 @@
 package congest_test
 
 // Engine-level Solver parity: the public Solver driving either simulator
-// engine must reproduce the legacy Find's simulator metrics — rounds,
+// engine must reproduce core.FindContext's simulator metrics — rounds,
 // frames, bits, per-phase breakdown — bit-for-bit, under SolveBatch
 // concurrency too. This is the engine-facing half of the determinism
 // suite; internal/core's parity tests cover the protocol outputs.
@@ -14,6 +14,7 @@ import (
 
 	"nearclique"
 	"nearclique/internal/congest"
+	"nearclique/internal/core"
 	"nearclique/internal/gen"
 )
 
@@ -32,7 +33,7 @@ func canonMetrics(m congest.Metrics) string {
 func TestSolverEngineMetricsMatchLegacyFind(t *testing.T) {
 	ctx := context.Background()
 	g := gen.PlantedNearClique(300, 90, 0.01, 0.03, 8).Graph
-	legacy, err := nearclique.Find(g, nearclique.Options{
+	legacy, err := core.FindContext(ctx, g, core.Options{
 		Epsilon: 0.25, ExpectedSample: 6, Seed: 4, Versions: 2,
 	})
 	if err != nil {

@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"nearclique/internal/congest"
@@ -122,15 +123,15 @@ type Progress struct {
 }
 
 func (o Options) validated(n int) (Options, error) {
-	if o.Epsilon <= 0 || o.Epsilon >= 0.5 {
+	if !(0 < o.Epsilon && o.Epsilon < 0.5) { // NaN fails every comparison
 		return o, fmt.Errorf("core: Epsilon %v outside (0, 0.5)", o.Epsilon)
 	}
-	if o.P < 0 || o.P > 1 {
+	if !(0 <= o.P && o.P <= 1) {
 		return o, fmt.Errorf("core: P %v outside [0, 1]", o.P)
 	}
 	if o.P == 0 {
-		if o.ExpectedSample <= 0 {
-			return o, errors.New("core: one of P or ExpectedSample must be positive")
+		if !(o.ExpectedSample > 0) || math.IsInf(o.ExpectedSample, 1) {
+			return o, errors.New("core: one of P or ExpectedSample must be positive and finite")
 		}
 		if n > 0 {
 			o.P = o.ExpectedSample / float64(n)

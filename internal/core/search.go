@@ -49,7 +49,7 @@ type SearchOptions struct {
 // normalized applies the documented defaults and bounds and derives the
 // required set size ⌈Rho·n⌉ (floor 1).
 func (so SearchOptions) normalized(n int) (SearchOptions, int, error) {
-	if so.Rho <= 0 || so.Rho > 1 {
+	if !(0 < so.Rho && so.Rho <= 1) {
 		return so, 0, fmt.Errorf("core: Rho %v outside (0, 1]", so.Rho)
 	}
 	if so.Steps <= 0 {

@@ -1,12 +1,12 @@
 package core_test
 
-// Solver ⇄ legacy parity: the public Solver must reproduce the legacy
-// free functions' transcripts bit-for-bit — labels, candidates, sample
-// sizes, and the complete simulator phase metrics — on every engine, and
-// SolveBatch must hand back exactly the per-graph results Solve would,
-// regardless of batch concurrency. This file lives in the external test
-// package so it can exercise the real public surface against internal
-// core entry points.
+// Solver ⇄ core parity: the public Solver must reproduce the transcripts
+// of the core entry points (core.Find, core.FindSequential) bit-for-bit
+// — labels, candidates, sample sizes, and the complete simulator phase
+// metrics — on every engine, and SolveBatch must hand back exactly the
+// per-graph results Solve would, regardless of batch concurrency. This
+// file lives in the external test package so it can exercise the real
+// public surface against internal core entry points.
 
 import (
 	"context"
@@ -88,10 +88,6 @@ func TestSolverSolveMatchesLegacyFind(t *testing.T) {
 			{nearclique.EngineAuto, legacySeq},
 			{nearclique.EngineSequential, legacySeq},
 			{nearclique.EngineSharded, legacyDist},
-			// The frontier engine simulates nothing, so its transcript —
-			// including the zero metrics block — must equal the sequential
-			// reference bit for bit.
-			{nearclique.EngineFrontier, legacySeq},
 		}
 		for _, tc := range cases {
 			res, err := paritySolver(t, tc.engine).Solve(ctx, g)
@@ -126,7 +122,7 @@ func TestSolveBatchMatchesSoloSolves(t *testing.T) {
 		names = append(names, name, name, name)
 	}
 	for _, engine := range []nearclique.Engine{
-		nearclique.EngineSequential, nearclique.EngineSharded, nearclique.EngineFrontier,
+		nearclique.EngineSequential, nearclique.EngineSharded,
 	} {
 		s, err := nearclique.New(
 			nearclique.WithEngine(engine),

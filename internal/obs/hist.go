@@ -40,7 +40,6 @@ const NumBuckets = numBuckets
 // observability costs one nil check per call site.
 type Histogram struct {
 	buckets [numBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sumNS   atomic.Int64
 }
 
@@ -64,26 +63,22 @@ func bucketIndex(ns int64) int {
 func (h *Histogram) Observe(d time.Duration) { h.ObserveNS(d.Nanoseconds()) }
 
 // ObserveNS records one duration in nanoseconds. Lock-free: one bucket
-// add, one count add, one sum add. The three are not mutually atomic —
-// a concurrent Snapshot may see a count the buckets don't yet include —
-// but at quiescence Count == Σ buckets exactly (the reconciliation
-// invariant the obs tests pin).
+// add and one sum add. There is no separate count: the count is the sum
+// of the buckets, so no reader can see a count that disagrees with them.
+// The two adds are not mutually atomic — a concurrent Snapshot may see a
+// bucket whose value is not yet in the sum — but at quiescence the sum
+// is exact.
 func (h *Histogram) ObserveNS(ns int64) {
 	if h == nil {
 		return
 	}
 	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sumNS.Add(ns)
 }
 
-// Count returns the total observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
+// Count returns the total observations, the sum of the bucket counts
+// (0 on nil).
+func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
 
 // SumNS returns the exact sum of observed nanoseconds (0 on nil).
 func (h *Histogram) SumNS() int64 {
@@ -111,9 +106,10 @@ type HistogramSnapshot struct {
 	SumNS   int64
 }
 
-// Snapshot copies the histogram's counters. Buckets are read before
-// Count, so a snapshot racing a writer can only under-report the count
-// relative to the buckets by in-flight observations, never invent them.
+// Snapshot copies the histogram's counters. Count is the sum of the
+// copied buckets, so it always equals the +Inf cumulative bucket even
+// while writers keep observing; only SumNS may lag or lead the buckets
+// by in-flight observations.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	if h == nil {
@@ -121,9 +117,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	s.SumNS = h.sumNS.Load()
-	s.Count = h.count.Load()
 	return s
 }
 
@@ -142,10 +138,7 @@ func (h *Histogram) QuantileNS(q float64) int64 {
 // QuantileNS is the snapshot form of Histogram.QuantileNS, letting one
 // consistent snapshot serve several quantiles.
 func (s HistogramSnapshot) QuantileNS(q float64) int64 {
-	total := uint64(0)
-	for _, c := range s.Buckets {
-		total += c
-	}
+	total := s.Count
 	if total == 0 || q <= 0 {
 		return 0
 	}

@@ -6,18 +6,20 @@
 // discipline (DESIGN.md §11) from solver rounds up to HTTP requests:
 //
 //  1. Recording never blocks. Counter.Add is one atomic add;
-//     Histogram.Observe is a shift, two atomic adds, and an atomic
-//     increment — no locks, no channels, no allocation. The obssafe
-//     nclint analyzer enforces this shape statically.
+//     Histogram.Observe is a shift and two atomic adds (bucket and sum)
+//     — no locks, no channels, no allocation. The obssafe nclint
+//     analyzer enforces this shape statically.
 //  2. Recording never perturbs outputs. Metrics observe wall time and
 //     counts only; no RNG stream, no protocol state, so transcripts and
 //     cache bytes are byte-identical with observability on or off (the
 //     server obs suite pins this).
-//  3. Accounting is exact. A histogram's Count always equals the sum of
-//     its bucket counts, its Sum is the exact total of observed values,
-//     and exposition republishes the same atomics /statz reads — so the
-//     two surfaces reconcile exactly at quiescence, in the style of the
-//     flight ring's Offered == Retained + Dropped invariant.
+//  3. Accounting is exact. A histogram keeps no separate count: Count is
+//     the sum of its bucket counts, so every snapshot's _count equals
+//     its +Inf bucket, even mid-write. Its Sum is the exact total of
+//     observed values at quiescence, and exposition republishes the
+//     same atomics /statz reads — so the two surfaces reconcile exactly
+//     at quiescence, in the style of the flight ring's Offered ==
+//     Retained + Dropped invariant.
 //
 // Exposition is deterministic: families sort by name, series by label
 // string, and every value formats canonically — a fixed event sequence
@@ -230,8 +232,10 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 }
 
 // writeHistogram emits the cumulative le-bucket series, _sum (seconds),
-// and _count for one histogram. The snapshot is taken once, so the three
-// views are mutually consistent even while producers keep observing.
+// and _count for one histogram from one snapshot. _count is the
+// snapshot's bucket total, so it always equals the +Inf bucket, as
+// Prometheus requires; _sum may lag the buckets by in-flight
+// observations while producers keep observing.
 func writeHistogram(w io.Writer, name, labels string, h *Histogram) error {
 	snap := h.Snapshot()
 	cum := uint64(0)

@@ -255,6 +255,53 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestExpositionCountMatchesInfBucketUnderWriters scrapes a histogram
+// while writers keep observing: every scrape's _count must equal its
+// le="+Inf" bucket, as Prometheus requires of a histogram.
+func TestExpositionCountMatchesInfBucketUnderWriters(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("x_seconds", "", "h")
+	const writers, scrapes = 4, 2000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.ObserveNS(int64(w)*1_000_000 + i)
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var buf bytes.Buffer
+	for i := 0; i < scrapes; i++ {
+		buf.Reset()
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var inf, count string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `x_seconds_bucket{le="+Inf"} `); ok {
+				inf = v
+			} else if v, ok := strings.CutPrefix(line, "x_seconds_count "); ok {
+				count = v
+			}
+		}
+		if inf == "" || inf != count {
+			t.Fatalf("scrape %d: +Inf bucket %q, _count %q:\n%s", i, inf, count, buf.String())
+		}
+	}
+}
+
 // TestTraceSpans: spans come back start-ordered with nonnegative
 // durations, and absolute-instant spans resolve against the epoch.
 func TestTraceSpans(t *testing.T) {

@@ -56,17 +56,11 @@
 // representation from the node and edge counts (DESIGN.md §7); ReadGraph
 // and WriteGraph handle the plain-text edge-list interchange format.
 //
-// # Deprecated surface
-//
-// The original free functions (Find, FindSequential, SearchMinEpsilon,
-// the representation-specific builders and the paired Gen*/GenSparse*
-// generators) remain as thin wrappers with byte-identical outputs; new
-// code should use the Solver and the unified constructors. See DESIGN.md
-// §7 for the deprecation policy.
-//
 // Quickstart:
 //
-//	inst := nearclique.GenPlantedNearClique(500, 150, 0.01, 0.05, 1)
+//	inst, _ := nearclique.Generate(nearclique.GenSpec{
+//	        Family: "planted", N: 500, Size: 150, EpsIn: 0.01, P: 0.05, Seed: 1,
+//	})
 //	s, _ := nearclique.New(nearclique.WithEpsilon(0.25), nearclique.WithSeed(1))
 //	res, err := s.Solve(context.Background(), inst.Graph)
 //	if err != nil { ... }
@@ -77,7 +71,6 @@
 package nearclique
 
 import (
-	"context"
 	"io"
 
 	"nearclique/internal/baseline"
@@ -94,24 +87,6 @@ import (
 // checksum over the canonical CSR arena), the identity the serving
 // layer's result cache and the report schema key results by.
 type Graph = graph.Graph
-
-// Builder accumulates edges and produces an immutable Graph with dense
-// adjacency bitsets.
-//
-// Deprecated: use GraphBuilder (NewGraphBuilder), which selects the
-// representation automatically.
-type Builder = graph.Builder
-
-// NewBuilder returns a Builder for a graph on n nodes.
-//
-// Deprecated: use NewGraphBuilder.
-func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// FromEdges builds a graph on n nodes from an edge list via the dense
-// path.
-//
-// Deprecated: use Build, which selects the representation automatically.
-func FromEdges(n int, edges [][2]int) *Graph { return graph.FromEdges(n, edges) }
 
 // ReadGraph parses a graph from any supported interchange format,
 // detected from the stream's leading bytes: a plain-text edge list (see
@@ -157,12 +132,6 @@ func LoadGraph(path string) (*Graph, func() error, error) { return graphio.Load(
 // as opposed to size-cap violations, which wrap ErrInputTooLarge.
 var ErrBadSnapshot = graphio.ErrSnapshot
 
-// Options configures a run of Algorithm DistNearClique; see the field
-// documentation in the core package (re-exported verbatim). It is the
-// configuration record of the deprecated free functions; new code
-// configures a Solver with functional options instead.
-type Options = core.Options
-
 // Result is the output of a run: per-node labels, the committed
 // near-cliques, sample sizes, and simulator metrics.
 type Result = core.Result
@@ -190,25 +159,6 @@ var ErrRoundLimit = core.ErrRoundLimit
 // graphio node-count cap (an allocation-storm guard, not a parse error).
 var ErrInputTooLarge = graphio.ErrTooLarge
 
-// Find runs the distributed algorithm on the CONGEST simulator.
-//
-// Deprecated: use New(WithEngine(EngineSharded), …).Solve(ctx, g); this
-// wrapper forwards there with a background context and produces
-// byte-identical results.
-func Find(g *Graph, opts Options) (*Result, error) {
-	return legacySolver(opts, EngineSharded).Solve(context.Background(), g)
-}
-
-// FindSequential runs the centralized reference implementation: identical
-// output to Find on the same seed, no message simulation (faster and
-// memory-lighter for large graphs).
-//
-// Deprecated: use New(…).Solve(ctx, g) — EngineAuto is the sequential
-// reference; this wrapper forwards there with a background context.
-func FindSequential(g *Graph, opts Options) (*Result, error) {
-	return legacySolver(opts, EngineSequential).Solve(context.Background(), g)
-}
-
 // Density returns the Definition-1 density of a node set: the fraction of
 // ordered pairs inside the set that carry an edge.
 func Density(g *Graph, nodes []int) float64 { return g.DensityOf(nodes) }
@@ -223,26 +173,10 @@ func IsNearClique(g *Graph, nodes []int, eps float64) bool {
 // |E(U)|/|U| (note: a different objective than near-clique density).
 func GreedyPeel(g *Graph) ([]int, float64) { return g.GreedyPeel() }
 
-// SearchOptions configures SearchMinEpsilon.
-//
-// Deprecated: use Solver.Search with WithSearchSteps / WithSearchBounds.
-type SearchOptions = core.SearchOptions
-
 // ErrNotFound is returned by the ε-search when no probed ε yields a
 // near-clique of the requested size. Cancellation never surfaces as
 // ErrNotFound — it arrives as a wrapped context error.
 var ErrNotFound = core.ErrNotFound
-
-// SearchMinEpsilon estimates the smallest ε at which the graph contains a
-// reportable ε-near clique of ≥ ρn nodes, by bisection over boosted runs —
-// the practical analogue of Fischer & Newman's minimum-distance estimation
-// (the paper's related work [9]).
-//
-// Deprecated: use New(…).Search(ctx, g, rho); this wrapper runs the same
-// cached bisection with a background context.
-func SearchMinEpsilon(g *Graph, so SearchOptions) (float64, *Result, error) {
-	return core.SearchFrontierContext(context.Background(), g, so)
-}
 
 // --- Baselines (Section 3 of the paper) --------------------------------
 
@@ -290,114 +224,8 @@ func MaximalCliqueViaComplementMIS(g *Graph, opts MISOptions) ([]int, Metrics, e
 	return baseline.MaximalCliqueViaComplementMIS(g, opts)
 }
 
-// --- Generators ---------------------------------------------------------
-//
-// The paired dense/sparse generator free functions below are deprecated
-// in favor of the unified Generate entry point (build.go), which
-// auto-selects the construction path. They remain because their outputs
-// are pinned by transcripts and experiments: for a fixed seed the dense
-// and sparse twins draw different graphs from the same distribution.
-
-// PlantedGraph describes a generated graph with a planted dense set.
-type PlantedGraph = gen.Planted
-
-// GenErdosRenyi returns G(n, p) via the dense construction path.
-//
-// Deprecated: use Generate(GenSpec{Family: "er", …}).
-func GenErdosRenyi(n int, p float64, seed int64) *Graph { return gen.ErdosRenyi(n, p, seed) }
-
-// GenPlantedNearClique plants an epsIn-near clique of the given size over
-// a G(n, pOut) background.
-//
-// Deprecated: use Generate(GenSpec{Family: "planted", …}).
-func GenPlantedNearClique(n, size int, epsIn, pOut float64, seed int64) PlantedGraph {
-	return gen.PlantedNearClique(n, size, epsIn, pOut, seed)
-}
-
-// GenPlantedClique plants a strict clique.
-//
-// Deprecated: use Generate(GenSpec{Family: "clique", …}).
-func GenPlantedClique(n, size int, pOut float64, seed int64) PlantedGraph {
-	return gen.PlantedClique(n, size, pOut, seed)
-}
-
-// ShinglesFamily is the Claim-1 counterexample instance.
-type ShinglesFamily = gen.Shingles
-
-// GenShinglesCounterexample builds the Figure-1 family member for clique
-// fraction delta.
-//
-// Deprecated: use Generate(GenSpec{Family: "shingles", …}).
-func GenShinglesCounterexample(n int, delta float64) ShinglesFamily {
-	return gen.ShinglesCounterexample(n, delta)
-}
-
-// ImpossibilityGraph is the Section-6 two-cliques-plus-path construction.
-type ImpossibilityGraph = gen.Impossibility
-
-// GenTwoCliquesPath builds the Section-6 construction.
-//
-// Deprecated: use Generate(GenSpec{Family: "twocliques", …}).
-func GenTwoCliquesPath(n int, withAEdges bool) ImpossibilityGraph {
-	return gen.TwoCliquesPath(n, withAEdges)
-}
-
-// GenRandomGeometric returns a random geometric graph (unit square,
-// connect within radius) and the node positions.
-//
-// Deprecated: use Generate(GenSpec{Family: "geometric", …}).
-func GenRandomGeometric(n int, radius float64, seed int64) (*Graph, [][2]float64) {
-	return gen.RandomGeometric(n, radius, seed)
-}
-
-// GenPreferentialAttachment returns a Barabási–Albert style web-like graph.
-//
-// Deprecated: use Generate(GenSpec{Family: "web", …}).
-func GenPreferentialAttachment(n, m int, seed int64) *Graph {
-	return gen.PreferentialAttachment(n, m, seed)
-}
-
 // EmbedCommunity overlays a near-clique community on an existing graph and
 // returns the new graph plus the community members.
 func EmbedCommunity(g *Graph, size int, epsIn float64, seed int64) (*Graph, []int) {
 	return gen.EmbedCommunity(g, size, epsIn, seed)
-}
-
-// --- Sparse generators and construction (million-node scale) ------------
-
-// NewSparseBuilder returns an edge-list graph builder that skips the
-// per-node dense bitsets — O(n+m) memory, the construction path for
-// million-node graphs.
-//
-// Deprecated: use NewGraphBuilder, which selects the representation
-// automatically.
-func NewSparseBuilder(n int) *graph.SparseBuilder { return graph.NewSparseBuilder(n) }
-
-// FromEdgeList builds a graph on n nodes from an edge list via the sparse
-// path.
-//
-// Deprecated: use Build, which selects the representation automatically.
-func FromEdgeList(n int, edges [][2]int) *Graph { return graph.FromEdgeList(n, edges) }
-
-// GenSparseErdosRenyi returns G(n, p) by O(m) skip-sampling.
-//
-// Deprecated: use Generate(GenSpec{Family: "er", …}).
-func GenSparseErdosRenyi(n int, p float64, seed int64) *Graph {
-	return gen.SparseErdosRenyi(n, p, seed)
-}
-
-// GenSparsePlantedNearClique plants an epsIn-near clique of the given size
-// over a sparse background of expected average degree avgDeg, in O(n+m).
-//
-// Deprecated: use Generate(GenSpec{Family: "planted", …}).
-func GenSparsePlantedNearClique(n, size int, epsIn, avgDeg float64, seed int64) PlantedGraph {
-	return gen.SparsePlantedNearClique(n, size, epsIn, avgDeg, seed)
-}
-
-// GenSparsePreferentialAttachment returns a Barabási–Albert style graph
-// built through the sparse path.
-//
-// Deprecated: use Generate(GenSpec{Family: "web", …}).
-func GenSparsePreferentialAttachment(n, m int, seed int64) *Graph {
-	return gen.SparsePreferentialAttachment(n, m, seed)
 }

@@ -2,17 +2,54 @@ package nearclique_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
 	"nearclique"
 )
 
+// generate draws a graph family through Generate, failing the test on an
+// invalid spec.
+func generate(t testing.TB, spec nearclique.GenSpec) nearclique.GenResult {
+	t.Helper()
+	res, err := nearclique.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// genPlanted draws a planted epsIn-near clique of the given size over a
+// G(n, p) background. Every caller keeps n ≤ 4096, where Generate takes
+// the dense generation path.
+func genPlanted(t testing.TB, n, size int, epsIn, p float64, seed int64) nearclique.GenResult {
+	t.Helper()
+	return generate(t, nearclique.GenSpec{Family: "planted", N: n, Size: size, EpsIn: epsIn, P: p, Seed: seed})
+}
+
+// genER draws G(n, p) through Generate (dense path for n ≤ 4096).
+func genER(t testing.TB, n int, p float64, seed int64) *nearclique.Graph {
+	t.Helper()
+	return generate(t, nearclique.GenSpec{Family: "er", N: n, P: p, Seed: seed}).Graph
+}
+
+// newSolver builds a Solver, failing the test on an invalid option.
+func newSolver(t testing.TB, opts ...nearclique.Option) *nearclique.Solver {
+	t.Helper()
+	s, err := nearclique.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestFacadeFindOnPlantedGraph(t *testing.T) {
-	inst := nearclique.GenPlantedNearClique(200, 70, 0.01, 0.04, 3)
-	res, err := nearclique.Find(inst.Graph, nearclique.Options{
-		Epsilon: 0.25, ExpectedSample: 6, Seed: 5, Versions: 3,
-	})
+	inst := genPlanted(t, 200, 70, 0.01, 0.04, 3)
+	res, err := newSolver(t,
+		nearclique.WithEngine(nearclique.EngineSharded), nearclique.WithEpsilon(0.25),
+		nearclique.WithExpectedSample(6), nearclique.WithSeed(5), nearclique.WithVersions(3),
+	).Solve(context.Background(), inst.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +66,13 @@ func TestFacadeFindOnPlantedGraph(t *testing.T) {
 }
 
 func TestFacadeSequentialMatchesDistributed(t *testing.T) {
-	g := nearclique.GenErdosRenyi(80, 0.15, 9)
-	opts := nearclique.Options{Epsilon: 0.3, ExpectedSample: 5, Seed: 2}
-	a, err := nearclique.Find(g, opts)
+	g := genER(t, 80, 0.15, 9)
+	opts := []nearclique.Option{nearclique.WithEpsilon(0.3), nearclique.WithExpectedSample(5), nearclique.WithSeed(2)}
+	a, err := newSolver(t, append(opts, nearclique.WithEngine(nearclique.EngineSharded))...).Solve(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nearclique.FindSequential(g, opts)
+	b, err := newSolver(t, append(opts, nearclique.WithEngine(nearclique.EngineSequential))...).Solve(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,21 +84,21 @@ func TestFacadeSequentialMatchesDistributed(t *testing.T) {
 }
 
 func TestFacadeGraphBuilding(t *testing.T) {
-	b := nearclique.NewBuilder(4)
+	b := nearclique.NewGraphBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.Build()
 	if g.N() != 4 || g.M() != 2 {
 		t.Fatalf("built graph N=%d M=%d", g.N(), g.M())
 	}
-	g2 := nearclique.FromEdges(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+	g2 := nearclique.Build(3, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 	if nearclique.Density(g2, []int{0, 1, 2}) != 1 {
 		t.Fatal("triangle density should be 1")
 	}
 }
 
 func TestFacadeGraphIO(t *testing.T) {
-	g := nearclique.GenErdosRenyi(30, 0.2, 4)
+	g := genER(t, 30, 0.2, 4)
 	var buf bytes.Buffer
 	if err := nearclique.WriteGraph(&buf, g); err != nil {
 		t.Fatal(err)
@@ -76,7 +113,7 @@ func TestFacadeGraphIO(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	inst := nearclique.GenPlantedClique(60, 20, 0.05, 6)
+	inst := generate(t, nearclique.GenSpec{Family: "clique", N: 60, Size: 20, P: 0.05, Seed: 6})
 	sh, err := nearclique.Shingles(inst.Graph, nearclique.ShinglesOptions{
 		Epsilon: 0.2, MinSize: 2, Seed: 1,
 	})
@@ -96,30 +133,32 @@ func TestFacadeBaselines(t *testing.T) {
 }
 
 func TestFacadeErrors(t *testing.T) {
-	g := nearclique.GenErdosRenyi(20, 0.9, 8)
-	_, err := nearclique.Find(g, nearclique.Options{Epsilon: 0.3, P: 1, Seed: 1, MaxComponentSize: 4})
+	g := genER(t, 20, 0.9, 8)
+	sharded := []nearclique.Option{nearclique.WithEngine(nearclique.EngineSharded), nearclique.WithEpsilon(0.3), nearclique.WithSeed(1)}
+	_, err := newSolver(t, append(sharded,
+		nearclique.WithSamplingProbability(1), nearclique.WithMaxComponentSize(4))...).Solve(context.Background(), g)
 	if !errors.Is(err, nearclique.ErrComponentTooLarge) {
 		t.Fatalf("err = %v, want ErrComponentTooLarge", err)
 	}
-	_, err = nearclique.Find(g, nearclique.Options{Epsilon: 0.3, ExpectedSample: 5, MaxRounds: 1, Seed: 1})
+	_, err = newSolver(t, append(sharded,
+		nearclique.WithExpectedSample(5), nearclique.WithMaxRounds(1))...).Solve(context.Background(), g)
 	if !errors.Is(err, nearclique.ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
 }
 
 func TestFacadeGenerators(t *testing.T) {
-	if g := nearclique.GenPreferentialAttachment(100, 2, 3); g.N() != 100 {
+	if g := generate(t, nearclique.GenSpec{Family: "web", N: 100, M: 2, Seed: 3}).Graph; g.N() != 100 {
 		t.Fatal("PA generator broken")
 	}
-	sf := nearclique.GenShinglesCounterexample(80, 0.5)
-	if len(sf.C1) == 0 || len(sf.I1) == 0 {
-		t.Fatal("shingles family empty blocks")
+	if sf := generate(t, nearclique.GenSpec{Family: "shingles", N: 80, Delta: 0.5}); len(sf.Planted) == 0 {
+		t.Fatal("shingles family has an empty clique")
 	}
-	im := nearclique.GenTwoCliquesPath(40, true)
-	if len(im.A) == 0 || len(im.B) == 0 || len(im.P) == 0 {
-		t.Fatal("impossibility construction empty blocks")
+	if im := generate(t, nearclique.GenSpec{Family: "twocliques", N: 40, WithA: true}); len(im.Planted) == 0 {
+		t.Fatal("impossibility construction has an empty clique")
 	}
-	g, pos := nearclique.GenRandomGeometric(50, 0.2, 1)
+	geo := generate(t, nearclique.GenSpec{Family: "geometric", N: 50, Radius: 0.2, Seed: 1})
+	g, pos := geo.Graph, geo.Positions
 	if g.N() != 50 || len(pos) != 50 {
 		t.Fatal("geometric generator broken")
 	}
@@ -130,7 +169,7 @@ func TestFacadeGenerators(t *testing.T) {
 }
 
 func TestFacadeGreedyPeel(t *testing.T) {
-	inst := nearclique.GenPlantedClique(80, 20, 0.02, 5)
+	inst := generate(t, nearclique.GenSpec{Family: "clique", N: 80, Size: 20, P: 0.02, Seed: 5})
 	set, avg := nearclique.GreedyPeel(inst.Graph)
 	if len(set) == 0 || avg <= 0 {
 		t.Fatal("greedy peel returned nothing")

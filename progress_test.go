@@ -12,8 +12,8 @@ import (
 
 // progressGraph is a shared instance big enough that every engine takes
 // multiple progress steps per run.
-func progressGraph() *nearclique.Graph {
-	return nearclique.GenPlantedNearClique(400, 120, 0.02, 0.05, 1).Graph
+func progressGraph(t testing.TB) *nearclique.Graph {
+	return genPlanted(t, 400, 120, 0.02, 0.05, 1).Graph
 }
 
 // TestProgressStopsAtCancellation closes the parity-suite gap from the
@@ -27,7 +27,7 @@ func TestProgressStopsAtCancellation(t *testing.T) {
 		nearclique.EngineSequential, nearclique.EngineSharded, nearclique.EngineAsync,
 	} {
 		t.Run(engine.String(), func(t *testing.T) {
-			g := progressGraph()
+			g := progressGraph(t)
 			const versions = 3
 
 			// Reference run: same configuration, no cancellation.
@@ -102,7 +102,7 @@ func TestProgressStopsAtCancellation(t *testing.T) {
 // context.DeadlineExceeded with a valid zero-progress partial result,
 // and the progress callback never fires — before or after the return.
 func TestProgressExpiredDeadline(t *testing.T) {
-	g := progressGraph()
+	g := progressGraph(t)
 	for _, engine := range []nearclique.Engine{
 		nearclique.EngineSequential, nearclique.EngineSharded, nearclique.EngineAsync,
 	} {

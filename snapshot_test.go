@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"nearclique"
+	"nearclique/internal/gen"
 )
 
 func writeSnapshotFile(t *testing.T, g *nearclique.Graph) string {
@@ -53,8 +54,7 @@ func TestSnapshotRoundTripSolveTranscript(t *testing.T) {
 	defer snap.Close()
 
 	for _, engine := range []nearclique.Engine{
-		nearclique.EngineSequential, nearclique.EngineSharded,
-		nearclique.EngineLegacy, nearclique.EngineFrontier,
+		nearclique.EngineSequential, nearclique.EngineSharded, nearclique.EngineLegacy,
 	} {
 		s, err := nearclique.New(
 			nearclique.WithEngine(engine),
@@ -82,7 +82,7 @@ func TestSnapshotRoundTripSolveTranscript(t *testing.T) {
 // TestSnapshotBytesStableAcrossRoundTrip: snapshots are canonical — the
 // bytes of a re-serialized mapped graph match the original file exactly.
 func TestSnapshotBytesStableAcrossRoundTrip(t *testing.T) {
-	inst := nearclique.GenSparsePlantedNearClique(5000, 200, 0.02, 8, 3)
+	inst := gen.SparsePlantedNearClique(5000, 200, 0.02, 8, 3)
 	path := writeSnapshotFile(t, inst.Graph)
 	orig, err := os.ReadFile(path)
 	if err != nil {
@@ -108,7 +108,7 @@ func TestSnapshotBytesStableAcrossRoundTrip(t *testing.T) {
 // sidecars (CSR Rev) are shared too, so this doubles as the race test for
 // concurrent first access — CI runs it under -race.
 func TestSolveBatchSharesOneMappedSnapshot(t *testing.T) {
-	inst := nearclique.GenSparsePlantedNearClique(4000, 250, 0.01, 6, 9)
+	inst := gen.SparsePlantedNearClique(4000, 250, 0.01, 6, 9)
 	path := writeSnapshotFile(t, inst.Graph)
 	snap, err := nearclique.OpenSnapshot(path)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestSolveBatchSharesOneMappedSnapshot(t *testing.T) {
 // TestReadGraphSniffsSnapshot: the stream-based entry point accepts
 // snapshot bytes too (stdin pipelines: gengraph -format snap | nearclique).
 func TestReadGraphSniffsSnapshot(t *testing.T) {
-	g := nearclique.GenSparseErdosRenyi(500, 0.01, 4)
+	g := gen.SparseErdosRenyi(500, 0.01, 4)
 	var buf bytes.Buffer
 	if err := nearclique.WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestReadGraphSniffsSnapshot(t *testing.T) {
 // TestLoadGraphDispatch: LoadGraph maps .ncsr files and parses edge lists
 // through one entry point.
 func TestLoadGraphDispatch(t *testing.T) {
-	g := nearclique.GenSparseErdosRenyi(400, 0.02, 6)
+	g := gen.SparseErdosRenyi(400, 0.02, 6)
 	dir := t.TempDir()
 
 	snapPath := filepath.Join(dir, "g.ncsr")

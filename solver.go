@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -54,11 +55,6 @@ const (
 	// parallelism, like every other engine.
 	EngineShadow
 )
-
-// EngineFrontier is the old name of the centralized replay.
-//
-// Deprecated: use EngineSequential; ParseEngine("frontier") returns it.
-const EngineFrontier = EngineSequential
 
 func (e Engine) String() string {
 	switch e {
@@ -135,7 +131,7 @@ func WithEngine(e Engine) Option {
 // WithEpsilon sets the near-clique parameter ε ∈ (0, 0.5); default 0.25.
 func WithEpsilon(eps float64) Option {
 	return func(c *config) error {
-		if eps <= 0 || eps >= 0.5 {
+		if !(0 < eps && eps < 0.5) { // NaN fails every comparison
 			return fmt.Errorf("nearclique: Epsilon %v outside (0, 0.5)", eps)
 		}
 		c.opts.Epsilon = eps
@@ -147,8 +143,8 @@ func WithEpsilon(eps float64) Option {
 // and clears any sampling probability set earlier.
 func WithExpectedSample(s float64) Option {
 	return func(c *config) error {
-		if s <= 0 {
-			return fmt.Errorf("nearclique: ExpectedSample %v not positive", s)
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("nearclique: ExpectedSample %v not positive and finite", s)
 		}
 		c.opts.ExpectedSample, c.opts.P = s, 0
 		return nil
@@ -159,7 +155,7 @@ func WithExpectedSample(s float64) Option {
 // directly, overriding the expected-sample-size parameterization.
 func WithSamplingProbability(p float64) Option {
 	return func(c *config) error {
-		if p <= 0 || p > 1 {
+		if !(0 < p && p <= 1) {
 			return fmt.Errorf("nearclique: sampling probability %v outside (0, 1]", p)
 		}
 		c.opts.P, c.opts.ExpectedSample = p, 0
@@ -372,7 +368,7 @@ func WithSearchSteps(n int) Option {
 // (default [0.02, 0.45]).
 func WithSearchBounds(min, max float64) Option {
 	return func(c *config) error {
-		if min <= 0 || max >= 0.5 || min >= max {
+		if !(0 < min && min < max && max < 0.5) {
 			return fmt.Errorf("nearclique: search bounds [%v, %v] invalid (need 0 < min < max < 0.5)", min, max)
 		}
 		c.searchMin, c.searchMax = min, max
@@ -427,7 +423,7 @@ func (s *Solver) Solve(ctx context.Context, g *Graph) (*Result, error) {
 // the refinement post-pass when configured. Refinement runs only on
 // clean completions: aborted or canceled runs return their partial base
 // metrics untouched.
-func (s *Solver) solve(ctx context.Context, g *Graph, opts Options) (*Result, error) {
+func (s *Solver) solve(ctx context.Context, g *Graph, opts core.Options) (*Result, error) {
 	var res *Result
 	var err error
 	switch s.cfg.engine {
@@ -466,7 +462,7 @@ func (s *Solver) solve(ctx context.Context, g *Graph, opts Options) (*Result, er
 // all-or-nothing: the error wraps the context error, the base result
 // stays intact and valid, and no partial refinement is exposed —
 // mirroring the abort convention of the run itself.
-func (s *Solver) applyRefine(ctx context.Context, g *Graph, res *Result, opts Options) error {
+func (s *Solver) applyRefine(ctx context.Context, g *Graph, res *Result, opts core.Options) error {
 	spec := *s.cfg.refine
 	refined := make([]RefinedCandidate, len(res.Candidates))
 	r := refine.New(g)
@@ -585,8 +581,7 @@ func (s *Solver) SolveBatch(ctx context.Context, graphs []*Graph) ([]*Result, er
 // Search estimates the smallest ε at which g contains a reportable ε-near
 // clique of ≥ rho·n nodes, by bisection over boosted probe runs (the
 // practical analogue of Fischer & Newman's minimum-distance estimation).
-// It replaces the deprecated SearchMinEpsilon; tune it with
-// WithSearchSteps and WithSearchBounds. Probes observe ctx, and
+// Tune it with WithSearchSteps and WithSearchBounds. Probes observe ctx, and
 // cancellation surfaces as a wrapped context error — never as ErrNotFound.
 // With WithRefine configured the winning probe's result is refined like a
 // Solve result, a near-objective spec inheriting the found ε.
@@ -631,7 +626,7 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 		eps, res, err = core.SearchFrontierContext(ctx, g, so)
 	case EngineSharded, EngineLegacy, EngineAsync:
 		eps, res, err = core.SearchWithRunner(ctx, g, so,
-			func(ctx context.Context, g *Graph, opts Options) (*Result, error) {
+			func(ctx context.Context, g *Graph, opts core.Options) (*Result, error) {
 				opts.Parallelism = s.cfg.opts.Parallelism
 				opts.MaxRounds = s.cfg.opts.MaxRounds
 				opts.AsyncMaxDelay = s.cfg.opts.AsyncMaxDelay
@@ -652,21 +647,4 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 		err = s.applyRefine(ctx, g, res, opts)
 	}
 	return eps, res, err
-}
-
-// legacySolver adapts a legacy Options value to a Solver, preserving the
-// exact core semantics (including error strings from deferred
-// validation), so the deprecated free functions are thin wrappers over
-// the Solver path with byte-identical transcripts. FindSequential always
-// ran the centralized replay, ignoring Options.Async and Options.Engine;
-// the engine mapping only applies to the simulator-backed Find.
-func legacySolver(opts Options, engine Engine) *Solver {
-	if engine != EngineSequential {
-		if opts.Async {
-			engine = EngineAsync
-		} else if opts.Engine == congest.EngineLegacy {
-			engine = EngineLegacy
-		}
-	}
-	return &Solver{cfg: config{opts: opts, engine: engine}}
 }

@@ -2,10 +2,11 @@ package nearclique_test
 
 import (
 	"context"
-	"strings"
+	"math"
 	"testing"
 
 	"nearclique"
+	"nearclique/internal/core"
 )
 
 func TestNewValidatesEagerly(t *testing.T) {
@@ -26,6 +27,18 @@ func TestNewValidatesEagerly(t *testing.T) {
 		{"batch negative", nearclique.WithBatchWorkers(-1)},
 		{"search steps zero", nearclique.WithSearchSteps(0)},
 		{"search bounds flipped", nearclique.WithSearchBounds(0.4, 0.1)},
+		{"epsilon NaN", nearclique.WithEpsilon(math.NaN())},
+		{"epsilon +Inf", nearclique.WithEpsilon(math.Inf(1))},
+		{"epsilon -Inf", nearclique.WithEpsilon(math.Inf(-1))},
+		{"sample NaN", nearclique.WithExpectedSample(math.NaN())},
+		{"sample +Inf", nearclique.WithExpectedSample(math.Inf(1))},
+		{"probability NaN", nearclique.WithSamplingProbability(math.NaN())},
+		{"probability +Inf", nearclique.WithSamplingProbability(math.Inf(1))},
+		{"search min NaN", nearclique.WithSearchBounds(math.NaN(), 0.3)},
+		{"search max NaN", nearclique.WithSearchBounds(0.1, math.NaN())},
+		{"search min -Inf", nearclique.WithSearchBounds(math.Inf(-1), 0.3)},
+		{"confidence NaN", nearclique.WithConfidence(math.NaN())},
+		{"confidence +Inf", nearclique.WithConfidence(math.Inf(1))},
 	}
 	for _, tc := range bad {
 		if _, err := nearclique.New(tc.opt); err == nil {
@@ -55,7 +68,7 @@ func TestParseEngineRoundTrips(t *testing.T) {
 // TestSolverIsReusableAndDeterministic: repeated Solve calls on one
 // Solver give identical results — the pooled scratch is invisible.
 func TestSolverIsReusableAndDeterministic(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(300, 100, 0.01, 0.04, 9).Graph
+	g := genPlanted(t, 300, 100, 0.01, 0.04, 9).Graph
 	s, err := nearclique.New(nearclique.WithSeed(11), nearclique.WithVersions(2))
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +90,11 @@ func TestSolverIsReusableAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestSolverSearchMatchesDeprecatedSearchMinEpsilon(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(240, 90, 0.01, 0.03, 13).Graph
-	eps1, res1, err1 := nearclique.SearchMinEpsilon(g, nearclique.SearchOptions{Rho: 0.3, Seed: 13})
+// TestSolverSearchMatchesCoreSearchFrontier: a default Solver's Search is
+// the cached bisection core.SearchFrontierContext at the same seed.
+func TestSolverSearchMatchesCoreSearchFrontier(t *testing.T) {
+	g := genPlanted(t, 240, 90, 0.01, 0.03, 13).Graph
+	eps1, res1, err1 := core.SearchFrontierContext(context.Background(), g, core.SearchOptions{Rho: 0.3, Seed: 13})
 	s, err := nearclique.New(nearclique.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +108,7 @@ func TestSolverSearchMatchesDeprecatedSearchMinEpsilon(t *testing.T) {
 			t.Fatalf("ε mismatch: %v vs %v", eps1, eps2)
 		}
 		if len(res1.Best().Members) != len(res2.Best().Members) {
-			t.Fatal("result mismatch between deprecated search and Solver.Search")
+			t.Fatal("result mismatch between core.SearchFrontierContext and Solver.Search")
 		}
 	}
 }
@@ -211,14 +226,14 @@ func TestGenerateUnifiedEntryPoint(t *testing.T) {
 // WithSamplingProbability probes Search at the equivalent expected
 // sample, not the default.
 func TestSearchHonorsSamplingProbability(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(240, 90, 0.01, 0.03, 13).Graph
+	g := genPlanted(t, 240, 90, 0.01, 0.03, 13).Graph
 	p := 10.0 / float64(g.N())
 	s, err := nearclique.New(nearclique.WithSeed(13), nearclique.WithSamplingProbability(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eps1, _, err1 := s.Search(context.Background(), g, 0.3)
-	eps2, _, err2 := nearclique.SearchMinEpsilon(g, nearclique.SearchOptions{
+	eps2, _, err2 := core.SearchFrontierContext(context.Background(), g, core.SearchOptions{
 		Rho: 0.3, Seed: 13, ExpectedSample: p * float64(g.N()),
 	})
 	if (err1 == nil) != (err2 == nil) || (err1 == nil && eps1 != eps2) {
@@ -233,7 +248,7 @@ func TestSearchHonorsSamplingProbability(t *testing.T) {
 // finds nothing. Only the replay engines run here: a simulated search
 // enumerates 2^17 subsets per probe.
 func TestSearchHonorsMaxComponentSize(t *testing.T) {
-	g := nearclique.GenPlantedNearClique(400, 200, 0, 0.01, 3).Graph
+	g := genPlanted(t, 400, 200, 0, 0.01, 3).Graph
 	for _, engine := range []nearclique.Engine{nearclique.EngineAuto, nearclique.EngineSequential} {
 		s, err := nearclique.New(
 			nearclique.WithEngine(engine),
@@ -260,80 +275,5 @@ func TestSearchHonorsMaxComponentSize(t *testing.T) {
 		if best == nil || len(best.Members) < 120 || eps >= 0.1 {
 			t.Fatalf("%v: Search ε=%v best %+v, want a ≥ 120-member near-clique at small ε", engine, eps, best)
 		}
-	}
-}
-
-// TestDeprecatedWrappersStayByteIdentical drives every deprecated free
-// function through the Solver path and pins it against the internal
-// entry points it used to call directly — the compatibility contract CI
-// enforces.
-func TestDeprecatedWrappersStayByteIdentical(t *testing.T) {
-	inst := nearclique.GenPlantedNearClique(250, 80, 0.01, 0.04, 17)
-	opts := nearclique.Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 17, Versions: 2}
-
-	dist, err := nearclique.Find(inst.Graph, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := nearclique.FindSequential(inst.Graph, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range dist.Labels {
-		if dist.Labels[v] != seq.Labels[v] {
-			t.Fatalf("Find and FindSequential disagree at node %d", v)
-		}
-	}
-	if dist.Metrics.Rounds == 0 {
-		t.Fatal("Find lost its simulator metrics through the Solver path")
-	}
-
-	// Async wrapper path.
-	aopts := opts
-	aopts.Async = true
-	async, err := nearclique.Find(inst.Graph, aopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if async.Metrics.AsyncAcks == 0 {
-		t.Fatal("async Options did not reach the asynchronous executor")
-	}
-	for v := range dist.Labels {
-		if async.Labels[v] != dist.Labels[v] {
-			t.Fatalf("async and sync outputs differ at node %d", v)
-		}
-	}
-
-	// FindSequential has always ignored Async (and Engine): it must keep
-	// running the centralized replay with zero simulator metrics.
-	seqAsync, err := nearclique.FindSequential(inst.Graph, aopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqAsync.Metrics.Rounds != 0 || seqAsync.Metrics.AsyncAcks != 0 {
-		t.Fatal("FindSequential with Async set ran a simulator")
-	}
-	for v := range seq.Labels {
-		if seqAsync.Labels[v] != seq.Labels[v] {
-			t.Fatalf("FindSequential output changed under Async at node %d", v)
-		}
-	}
-
-	// Builders.
-	db := nearclique.NewBuilder(4)
-	db.AddEdge(0, 1)
-	sb := nearclique.NewSparseBuilder(4)
-	sb.AddEdge(0, 1)
-	if db.Build().M() != 1 || sb.Build().M() != 1 {
-		t.Fatal("deprecated builders broke")
-	}
-	if nearclique.FromEdges(3, [][2]int{{0, 1}}).M() != nearclique.FromEdgeList(3, [][2]int{{0, 1}}).M() {
-		t.Fatal("deprecated edge-list constructors disagree")
-	}
-
-	// Legacy validation errors must keep flowing out of the wrappers.
-	if _, err := nearclique.Find(inst.Graph, nearclique.Options{Epsilon: 0.9, ExpectedSample: 5}); err == nil ||
-		!strings.Contains(err.Error(), "Epsilon") {
-		t.Fatalf("legacy validation error lost: %v", err)
 	}
 }
