@@ -46,47 +46,101 @@ func (sc *seqComp) finish(eps float64, minSizeOpt int, x *ktScratch) {
 	}
 }
 
-// decideAndCommit runs the decision stage over the collected components
-// of all versions: every voter acks its best adjacent candidate and
-// aborts the rest; a candidate commits iff no adjacent voter aborted;
-// committed members receive their labels and the candidate list is
-// finalized into res. The ack counting is order-free (increments into a
-// map), so the stage is deterministic regardless of component or voter
-// visit order.
-func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, res *Result) {
-	type voterCand struct {
-		sc  *seqComp
-		key candKey
-	}
-	adj := make(map[int][]voterCand)
+// ballot is the decision stage's voter → component adjacency as one
+// flat CSR: voter j's adjacent components are the comps indices
+// cands[off[j]:off[j+1]]. Voters are numbered in first-appearance order;
+// no order is needed, since ack counting is order-free and the per-voter
+// best is a strict total order. The solve builds one ballot per run, the
+// search one per bisection, shared by every probe and the
+// materialization.
+type ballot struct {
+	off   []int32
+	cands []int32
+}
+
+// newBallot builds the ballot of comps in two passes through the dense
+// voter index x.voterPos that the components' buildKT sized, all-zero on
+// entry and on return: the first numbers the distinct voters and counts
+// their components, the second places every component and clears a
+// voter's entry at its last occurrence.
+func newBallot(comps []*seqComp, x *ktScratch) ballot {
+	pos := x.voterPos
+	total := 0
 	for _, sc := range comps {
-		key := candKey{rootIdx: sc.rootIdx, version: int32(sc.version)}
+		total += len(sc.voters)
+	}
+	off := make([]int32, 1, total+1)
+	for _, sc := range comps {
 		for _, u := range sc.voters {
-			adj[u] = append(adj[u], voterCand{sc: sc, key: key})
+			if pos[u] == 0 {
+				off = append(off, 0)
+				pos[u] = int32(len(off) - 1)
+			}
+			off[pos[u]]++
 		}
 	}
-	acked := make(map[candKey]int) // candidate -> ack count
-	for u, cands := range adj {
-		_ = u
-		bestI := -1
-		for i, c := range cands {
-			if c.sc.size == 0 {
+	// off[j+1] holds voter j's count; next[j] walks its slots.
+	next := make([]int32, len(off)-1)
+	for j := range next {
+		next[j] = off[j]
+		off[j+1] += off[j]
+	}
+	cands := make([]int32, total)
+	for ci, sc := range comps {
+		for _, u := range sc.voters {
+			j := pos[u] - 1
+			cands[next[j]] = int32(ci)
+			if next[j]++; next[j] == off[j+1] {
+				pos[u] = 0
+			}
+		}
+	}
+	return ballot{off: off, cands: cands}
+}
+
+// count runs the votes over the evaluated comps: every voter acks its
+// best adjacent candidate (size > 0) and aborts the rest, and acked[ci]
+// receives component ci's ack count. A candidate commits iff every one
+// of its voters acked it.
+func (b *ballot) count(comps []*seqComp, acked []int32) {
+	clear(acked)
+	for j := 0; j+1 < len(b.off); j++ {
+		best := int32(-1)
+		for _, ci := range b.cands[b.off[j]:b.off[j+1]] {
+			sc := comps[ci]
+			if sc.size == 0 {
 				continue
 			}
-			if bestI < 0 || betterCandidate(c.sc.size, c.sc.rootID, c.key.version,
-				cands[bestI].sc.size, cands[bestI].sc.rootID, cands[bestI].key.version) {
-				bestI = i
+			if best < 0 || betterCandidate(sc.size, sc.rootID, int32(sc.version),
+				comps[best].size, comps[best].rootID, int32(comps[best].version)) {
+				best = ci
 			}
 		}
-		if bestI >= 0 {
-			acked[cands[bestI].key]++
+		if best >= 0 {
+			acked[best]++
 		}
 	}
+}
+
+// committed reports whether a component with acked acks commits.
+func committed(sc *seqComp, acked int32) bool {
+	return sc.size > 0 && int(acked) == len(sc.voters)
+}
+
+// decideAndCommit runs the decision stage over the collected components
+// of all versions through their ballot b: every voter acks its best
+// adjacent candidate and aborts the rest; a candidate commits iff no
+// adjacent voter aborted; committed members receive their labels and the
+// candidate list is finalized into res. The acks are counts per
+// component index, so the stage is deterministic regardless of component
+// or voter visit order.
+func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, res *Result) {
+	acked := make([]int32, len(comps))
+	b.count(comps, acked)
 
 	var out []Candidate
-	for _, sc := range comps {
-		key := candKey{rootIdx: sc.rootIdx, version: int32(sc.version)}
-		if sc.size == 0 || acked[key] != len(sc.voters) {
+	for ci, sc := range comps {
+		if !committed(sc, acked[ci]) {
 			continue
 		}
 		label := sc.rootID*int64(opts.Versions) + int64(sc.version)

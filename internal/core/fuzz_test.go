@@ -1,0 +1,55 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"nearclique/internal/gen"
+)
+
+// FuzzSearchProbeDensity drives the cached probes of a fixed small
+// planted instance through an arbitrary ε sequence: byte b probes
+// ε = εMin + (εMax−εMin)·b/255, and an odd byte then also checks
+// component b/2 mod |comps|, switching the density check to it. Every
+// check's incremental density must equal Graph.Density of the T set
+// built fresh, and materialize must leave the mark set all-zero.
+func FuzzSearchProbeDensity(f *testing.F) {
+	g := gen.PlantedNearClique(150, 50, 0.1, 0.03, 2).Graph
+	so, need, err := SearchOptions{Rho: 0.1, ExpectedSample: 10, Versions: 2, Seed: 1}.normalized(g.N())
+	if err != nil {
+		f.Fatal(err)
+	}
+	scratch := getSeqScratch()
+	cache, err := buildSearchCache(context.Background(), g, so, need, scratch)
+	if err != nil || len(cache.comps) < 2 || !cache.probe(so.EpsMax) {
+		f.Fatalf("fixed instance: err %v, %d components; want several and a detecting εMax", err, len(cache.comps))
+	}
+	cache.clearSet()
+	putSeqScratch(scratch)
+
+	f.Add([]byte{255, 127, 63, 95, 79, 71, 75, 77, 76})
+	f.Add([]byte{0, 255, 0, 255, 128, 128, 1, 3, 5})
+	f.Add([]byte{200, 201, 7, 200, 9, 11, 254})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scratch := getSeqScratch()
+		defer putSeqScratch(scratch)
+		cache, err := buildSearchCache(context.Background(), g, so, need, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range data {
+			eps := so.EpsMin + (so.EpsMax-so.EpsMin)*float64(b)/255
+			cache.probe(eps)
+			if ci := cache.bestCommitted(); ci >= 0 {
+				checkIncrementalDensity(t, cache, ci)
+			}
+			if b&1 == 1 {
+				checkIncrementalDensity(t, cache, int(b>>1)%len(cache.comps))
+			}
+		}
+		cache.materialize(so.EpsMax)
+		if c := scratch.mark.Count(); c != 0 {
+			t.Fatalf("%d mark bits left set after materialize", c)
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/gen"
@@ -75,7 +76,9 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 // the K/T kernel's dense voter index, and the mark set that dedups
 // voters and tracks the ID walk's positions — after a solve, after a
 // search and its probes, and after an ErrComponentTooLarge abort that
-// follows built components.
+// follows built components. A search leaves them all-zero whether it
+// ends in a result, in ErrNotFound or canceled between probes — after a
+// probe has filled the mark set.
 func TestReplayScratchZeroAfterRun(t *testing.T) {
 	ctx := context.Background()
 	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
@@ -107,7 +110,8 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decideAndCommit(g, opts, comps, res)
+	b := newBallot(comps, &scratch.kt)
+	decideAndCommit(g, opts, comps, &b, res)
 	check("solve", comps)
 
 	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 12, Versions: 2, Seed: 1}.normalized(g.N())
@@ -123,6 +127,28 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	cache.materialize(so.EpsMax)
 	check("search", cache.comps)
 
+	// The cache keeps its checked T set between probes; a search must
+	// hand the mark set back empty however it ends.
+	if !cache.probe(so.EpsMax) || scratch.mark.Count() == 0 {
+		t.Fatal("εMax probe left no T set in the mark set; the checks below would be vacuous")
+	}
+	tight := so
+	tight.EpsMin, tight.EpsMax = 0.001, 0.002
+	if _, _, err := cache.search(ctx, tight); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("search at ε ≤ 0.002: err %v, want ErrNotFound", err)
+	}
+	check("search not found", cache.comps)
+
+	cache.probe(so.EpsMax)
+	canceled := &cancelAfter{live: 1}
+	if _, _, err := cache.search(canceled, so); !errors.Is(err, context.Canceled) {
+		t.Fatalf("search canceled after one probe: err %v, want context.Canceled", err)
+	}
+	if canceled.live >= 0 {
+		t.Fatal("the search was not canceled between probes")
+	}
+	check("search canceled", cache.comps)
+
 	opts.MaxComponentSize = 6 // seed 1 builds six components, then meets one of seven
 	res = &Result{SampleSizes: make([]int, opts.Versions)}
 	comps, err = collectComps(ctx, g, opts, scratch, nil, res, func(*seqComp) {})
@@ -130,6 +156,22 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 		t.Fatalf("abort: err %v, want ErrComponentTooLarge", err)
 	}
 	check("abort", comps)
+}
+
+// cancelAfter is a context that reports itself live to its first live
+// Err calls and canceled from then on: a cancellation that lands between
+// two probes of a search.
+type cancelAfter struct{ live int }
+
+func (*cancelAfter) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (*cancelAfter) Done() <-chan struct{}       { return nil }
+func (*cancelAfter) Value(any) any               { return nil }
+
+func (c *cancelAfter) Err() error {
+	if c.live--; c.live >= 0 {
+		return nil
+	}
+	return context.Canceled
 }
 
 // replayInstance is the n = 2e5 shape of the replay's allocation test and

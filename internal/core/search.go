@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"nearclique/internal/flight"
 	"nearclique/internal/graph"
@@ -70,10 +71,9 @@ func (so SearchOptions) normalized(n int) (SearchOptions, int, error) {
 	if so.EpsMin >= so.EpsMax {
 		return so, 0, fmt.Errorf("core: EpsMin %v not below EpsMax %v", so.EpsMin, so.EpsMax)
 	}
-	need := int(so.Rho * float64(n))
-	if need < 1 {
-		need = 1
-	}
+	// The 1e-9 slack is IsNearClique's: 0.1·30 evaluates to
+	// 3.0000000000000004 and must still need 3.
+	need := max(int(math.Ceil(so.Rho*float64(n)-1e-9)), 1)
 	return so, need, nil
 }
 
@@ -116,9 +116,10 @@ func SearchWithRunner(ctx context.Context, g *graph.Graph, so SearchOptions, run
 			}
 			return nil, false, nil
 		}
+		// finalizeCandidates already stored each candidate's density.
 		best := res.Best()
 		return res, best != nil && len(best.Members) >= need &&
-			g.DensityOf(best.Members) >= 1-eps-1e-9, nil
+			best.Density >= 1-eps-1e-9, nil
 	}
 
 	// The detection event is monotone in ε in expectation (larger ε only

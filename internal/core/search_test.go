@@ -75,3 +75,24 @@ func TestSearchMinEpsilonCompleteGraph(t *testing.T) {
 		t.Fatalf("K60 search result: %+v", res.Best())
 	}
 }
+
+// TestSearchNeedIsCeil pins the required set size to ⌈Rho·n⌉ (floor 1),
+// with IsNearClique's 1e-9 slack absorbing a product that lands a hair
+// above an integer.
+func TestSearchNeedIsCeil(t *testing.T) {
+	for _, tc := range []struct {
+		rho  float64
+		n    int
+		want int
+	}{
+		{0.25, 10, 3},
+		{0.1, 30, 3}, // 0.1·30 = 3.0000000000000004
+		{250.0 / 1e5, 1e5, 250},
+		{0.5, 10, 5},
+		{0.001, 10, 1},
+	} {
+		if _, need, err := (SearchOptions{Rho: tc.rho}).normalized(tc.n); err != nil || need != tc.want {
+			t.Errorf("Rho %v, n %d: need %d (err %v), want %d", tc.rho, tc.n, need, err, tc.want)
+		}
+	}
+}

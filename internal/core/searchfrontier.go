@@ -38,12 +38,19 @@ func SearchFrontierContext(ctx context.Context, g *graph.Graph, so SearchOptions
 	if err != nil {
 		return 0, nil, err
 	}
+	return cache.search(ctx, so)
+}
 
+// search runs the bisection over [so.EpsMin, so.EpsMax] on the cache.
+// It leaves the lent mark set all-zero on every return, so the scratch
+// goes back to the pool clean.
+func (c *searchCache) search(ctx context.Context, so SearchOptions) (float64, *Result, error) {
+	defer c.clearSet()
 	probe := func(eps float64) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("core: search interrupted: %w", err)
 		}
-		return cache.probe(eps), nil
+		return c.probe(eps), nil
 	}
 	lo, hi := so.EpsMin, so.EpsMax
 	ok, err := probe(hi)
@@ -66,13 +73,13 @@ func SearchFrontierContext(ctx context.Context, g *graph.Graph, so SearchOptions
 			lo = mid
 		}
 	}
-	return bestEps, cache.materialize(bestEps), nil
+	return bestEps, c.materialize(bestEps), nil
 }
 
 // searchCache is the ε-invariant state shared by every probe of one
-// bisection — the components with their K/T kernel tables — plus the
-// pooled scratch that makes a probe allocation-free: the kernel's
-// buffers and T tables are reused, never reallocated.
+// bisection — the components with their K/T kernel tables and their
+// ballot — plus the pooled scratch that makes a probe allocation-free:
+// the kernel's buffers and T tables are reused, never reallocated.
 type searchCache struct {
 	g    *graph.Graph
 	opts Options // resolved probe options (Epsilon field unused)
@@ -82,13 +89,21 @@ type searchCache struct {
 	maxComponent int
 	failed       bool // an oversized component fails every probe identically
 
-	comps      []*seqComp
-	voterLists [][]int32 // distinct voter -> adjacent comp indices
+	comps  []*seqComp
+	ballot ballot
 
-	kt        *ktScratch
-	acked     []int32     // per-probe ack counters, indexed like comps
-	members   []int       // per-probe buffer for the density check
-	memberSet *bitset.Set // the scratch's n-bit mark set, lent to the density check; empty between probes
+	kt    *ktScratch
+	acked []int32 // per-probe ack counters, indexed like comps
+
+	// The density check's state, kept between probes so that a check
+	// costs the degrees of the nodes that changed: memberSet (the
+	// scratch's n-bit mark set) holds the T set last checked, of
+	// component setComp (-1: none, the set is empty), with setK nodes
+	// and setEdges edges among them.
+	memberSet *bitset.Set
+	setComp   int
+	setK      int
+	setEdges  int
 }
 
 // buildSearchCache runs the shared traversal and captures everything a
@@ -107,7 +122,7 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 	if err != nil {
 		return nil, err
 	}
-	c := &searchCache{g: g, opts: opts, need: need, kt: &scratch.kt}
+	c := &searchCache{g: g, opts: opts, need: need, kt: &scratch.kt, setComp: -1}
 	res := &Result{SampleSizes: make([]int, opts.Versions)}
 	ft := newFlightTrace(so.Flight)
 	comps, err := collectComps(ctx, g, opts, scratch, ft, res, func(*seqComp) {})
@@ -120,24 +135,9 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 		return nil, err
 	}
 	c.comps = comps
-	c.memberSet = scratch.mark
-
-	// Decision-stage adjacency, built in first-appearance order (a
-	// deterministic order, though none is needed: ack counting is
-	// order-free and the per-voter best is a strict total order).
-	idx := make(map[int]int)
-	for ci, sc := range comps {
-		for _, u := range sc.voters {
-			j, ok := idx[u]
-			if !ok {
-				j = len(c.voterLists)
-				idx[u] = j
-				c.voterLists = append(c.voterLists, nil)
-			}
-			c.voterLists[j] = append(c.voterLists[j], int32(ci))
-		}
-	}
+	c.ballot = newBallot(comps, c.kt)
 	c.acked = make([]int32, len(comps))
+	c.memberSet = scratch.mark
 	return c, nil
 }
 
@@ -154,29 +154,10 @@ func (c *searchCache) evaluate(eps float64) {
 // and returns the index of the best committed one in the finalized
 // candidate ordering (size desc, label asc, version asc), or -1.
 func (c *searchCache) bestCommitted() int {
-	acked := c.acked
-	for i := range acked {
-		acked[i] = 0
-	}
-	for _, list := range c.voterLists {
-		best := int32(-1)
-		for _, ci := range list {
-			sc := c.comps[ci]
-			if sc.size == 0 {
-				continue
-			}
-			if best < 0 || betterCandidate(sc.size, sc.rootID, int32(sc.version),
-				c.comps[best].size, c.comps[best].rootID, int32(c.comps[best].version)) {
-				best = ci
-			}
-		}
-		if best >= 0 {
-			acked[best]++
-		}
-	}
+	c.ballot.count(c.comps, c.acked)
 	bestCi := -1
 	for ci, sc := range c.comps {
-		if sc.size == 0 || int(acked[ci]) != len(sc.voters) {
+		if !committed(sc, c.acked[ci]) {
 			continue
 		}
 		if bestCi < 0 || candidateOrderBefore(sc, c.comps[bestCi], c.opts.Versions) {
@@ -212,34 +193,57 @@ func (c *searchCache) probe(eps float64) bool {
 	}
 	c.evaluate(eps)
 	ci := c.bestCommitted()
-	if ci < 0 {
-		return false
+	return ci >= 0 && c.density(ci) >= 1-eps-1e-9
+}
+
+// density moves the mark set to component ci's T set as last evaluated
+// and returns its density, Graph.Density's exact expression over an
+// exact integer edge count. On the component checked last it pays only
+// for the nodes that left or joined T: a leaving node's degree into the
+// rest of the set is subtracted after its removal, a joining node's is
+// added before its insertion, so the count stays exact in any order.
+func (c *searchCache) density(ci int) float64 {
+	if ci != c.setComp {
+		c.clearSet()
+		c.setComp = ci
 	}
-	sc := c.comps[ci]
-	c.members = c.members[:0]
+	sc, set := c.comps[ci], c.memberSet
 	for i, u := range sc.voters {
-		if sc.inT(i, sc.bStar) {
-			c.members = append(c.members, u)
+		switch in, want := set.Contains(u), sc.inT(i, sc.bStar); {
+		case in && !want:
+			set.Remove(u)
+			c.setK--
+			c.setEdges -= c.g.DegreeIn(u, set)
+		case want && !in:
+			c.setEdges += c.g.DegreeIn(u, set)
+			set.Add(u)
+			c.setK++
 		}
 	}
-	if len(c.members) < c.need {
-		return false
+	k := c.setK
+	if k <= 1 {
+		return 1
 	}
-	for _, u := range c.members {
-		c.memberSet.Add(u)
+	return float64(2*c.setEdges) / float64(k*(k-1))
+}
+
+// clearSet empties the mark set, removing exactly the bits of the
+// component checked last.
+func (c *searchCache) clearSet() {
+	if c.setComp >= 0 {
+		for _, u := range c.comps[c.setComp].voters {
+			c.memberSet.Remove(u)
+		}
 	}
-	density := c.g.Density(c.memberSet)
-	for _, u := range c.members {
-		c.memberSet.Remove(u)
-	}
-	return density >= 1-eps-1e-9
+	c.setComp, c.setK, c.setEdges = -1, 0, 0
 }
 
 // materialize builds the winning ε's full Result — labels, finalized
 // candidates, sample sizes — through the same decideAndCommit every
 // engine runs, so it is bit-identical to what a full probe at that ε
-// returns.
+// returns. It first hands the mark set back empty.
 func (c *searchCache) materialize(eps float64) *Result {
+	c.clearSet()
 	res := &Result{
 		Labels:       make([]int64, c.g.N()),
 		SampleSizes:  append([]int(nil), c.sampleSizes...),
@@ -249,6 +253,6 @@ func (c *searchCache) materialize(eps float64) *Result {
 		res.Labels[i] = NoLabel
 	}
 	c.evaluate(eps)
-	decideAndCommit(c.g, c.opts, c.comps, res)
+	decideAndCommit(c.g, c.opts, c.comps, &c.ballot, res)
 	return res
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"nearclique/internal/bitset"
 	"nearclique/internal/flight"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
@@ -189,6 +191,115 @@ func TestFindFrontierFlightRoundEvents(t *testing.T) {
 	}
 	if phases < 3 { // two explore versions + decide
 		t.Fatalf("replay emitted %d phase events, want ≥ 3", phases)
+	}
+}
+
+// checkIncrementalDensity moves the cache's density check to component
+// ci and asserts that the incremental density equals Graph.Density of
+// ci's T set built fresh, bit for bit, and that the mark set holds
+// exactly that set.
+func checkIncrementalDensity(t testing.TB, cache *searchCache, ci int) {
+	t.Helper()
+	sc := cache.comps[ci]
+	var members []int
+	for i, u := range sc.voters {
+		if sc.inT(i, sc.bStar) {
+			members = append(members, u)
+		}
+	}
+	fresh := bitset.FromIndices(cache.g.N(), members)
+	if got, want := cache.density(ci), cache.g.Density(fresh); got != want {
+		t.Fatalf("component %d (%d T members): incremental density %v != Graph.Density %v",
+			ci, len(members), got, want)
+	}
+	if !cache.memberSet.Equal(fresh) {
+		t.Fatalf("component %d: the mark set does not hold its T set", ci)
+	}
+}
+
+// TestSearchProbeDensityMatchesGraphDensity pins the probes' incremental
+// density check on a multi-component instance. One cache is driven
+// through the bisection's ε order, then through a seeded random order
+// with repeats. After every probe the best committed component's
+// density — left in place by the probe — must equal Graph.Density of
+// its T set built fresh; then every other component is checked in a
+// random order, so the set switches components, and the best is checked
+// again, so the next probe diffs one component across two ε. Each
+// probe's verdict must equal a full FindSequentialContext probe's.
+func TestSearchProbeDensityMatchesGraphDensity(t *testing.T) {
+	ctx := context.Background()
+	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
+	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 12, Versions: 2, Seed: 1}.normalized(g.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := getSeqScratch()
+	defer putSeqScratch(scratch)
+	cache, err := buildSearchCache(ctx, g, so, need, scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cache.comps) < 2 {
+		t.Fatalf("%d components; the instance must have several", len(cache.comps))
+	}
+	rng := rand.New(rand.NewSource(7))
+	sameDiffs, switches := 0, 0
+	probe := func(eps float64) bool {
+		prevComp, prevK, prevEdges := cache.setComp, cache.setK, cache.setEdges
+		got := cache.probe(eps)
+		res, err := FindSequentialContext(ctx, g, Options{
+			Epsilon: eps, ExpectedSample: so.ExpectedSample, Seed: so.Seed,
+			Versions: so.Versions, MinSize: need,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := res.Best()
+		if want := best != nil && len(best.Members) >= need && best.Density >= 1-eps-1e-9; got != want {
+			t.Fatalf("ε=%v: cached probe %v, full probe %v", eps, got, want)
+		}
+		bi := cache.bestCommitted()
+		if bi < 0 {
+			return got
+		}
+		if bi == prevComp && (cache.setK != prevK || cache.setEdges != prevEdges) {
+			sameDiffs++
+		}
+		checkIncrementalDensity(t, cache, bi)
+		for _, ci := range rng.Perm(len(cache.comps)) {
+			if ci != cache.setComp {
+				switches++
+			}
+			checkIncrementalDensity(t, cache, ci)
+		}
+		checkIncrementalDensity(t, cache, bi)
+		return got
+	}
+
+	lo, hi := so.EpsMin, so.EpsMax
+	if !probe(hi) {
+		t.Fatal("εMax probe found nothing; the bisection would visit one ε")
+	}
+	for step := 0; step < so.Steps; step++ {
+		if mid := (lo + hi) / 2; probe(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	var pool [12]float64
+	for i := range pool {
+		pool[i] = so.EpsMin + (so.EpsMax-so.EpsMin)*rng.Float64()
+	}
+	for i := 0; i < 40; i++ {
+		probe(pool[rng.Intn(len(pool))])
+	}
+	if sameDiffs == 0 || switches == 0 {
+		t.Fatalf("%d same-component diffs, %d component switches; want both", sameDiffs, switches)
+	}
+	cache.materialize(hi)
+	if c := cache.memberSet.Count(); c != 0 {
+		t.Fatalf("%d mark bits left set after materialize", c)
 	}
 }
 

@@ -73,7 +73,8 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 	// Decision stage: every voter acks its best adjacent candidate and
 	// aborts the rest; a candidate commits iff no adjacent voter aborted.
 	ft.begin("decide")
-	decideAndCommit(g, opts, comps, res)
+	b := newBallot(comps, &scratch.kt)
+	decideAndCommit(g, opts, comps, &b, res)
 	ft.end(len(comps))
 	if opts.Progress != nil {
 		opts.Progress(Progress{
