@@ -324,36 +324,20 @@ func permutedIDs(n int, seed int64) []int64 {
 
 func idRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed ^ 0x1dfa_c0de)) }
 
-// IDWalk is the pooled state of SampledIDs: the recorded draws and the
-// tracked positions. The zero value is ready; an IDWalk is not safe for
-// concurrent use.
+// IDWalk is the pooled state of the backward ID walk: the recorded
+// draws and the tracked positions. The zero value is ready; an IDWalk is
+// not safe for concurrent use, but Record touches nothing Walk's caller
+// shares, so it may run on a goroutine of its own until Walk.
 type IDWalk struct {
 	draws []uint32
 	at    map[int]int // tracked position -> index into nodes
 	dups  [][2]int    // (query, earlier query of the same node)
 }
 
-// SampledIDs returns PermutedIDs(n, seed)[v] for every v in nodes, in
-// order, without building the permutation. It records permutedIDs' n
-// draws J_i = Intn(i+1) — the same generator and call sequence — and
-// walks them backwards from i = n−1 tracking only the queried positions:
-// swap i writes ID i to position J_i and moves the old content of J_i to
-// position i, so a query at J_i resolves to ID i, and a query at
-// position i ≠ J_i moves to J_i. Tracked positions stay distinct, the
-// walk stops once every query is resolved, and its cost is the n draws
-// plus two bit tests per step.
-//
-// tracked must be an all-zero set over at least n bits; it is all-zero
-// again on return.
-func (w *IDWalk) SampledIDs(dst []int64, nodes []int32, n int, seed int64, tracked *bitset.Set) []int64 {
-	ids := dst[:0]
-	if cap(ids) < len(nodes) {
-		ids = make([]int64, len(nodes))
-	}
-	ids = ids[:len(nodes)]
-	if len(nodes) == 0 {
-		return ids
-	}
+// Record records permutedIDs' n draws J_i = Intn(i+1) — the same
+// generator and call sequence — for the next Walk. The draws depend on
+// (n, seed) alone, never on which nodes Walk is later asked about.
+func (w *IDWalk) Record(n int, seed int64) {
 	if cap(w.draws) < n {
 		w.draws = make([]uint32, n)
 	}
@@ -362,6 +346,30 @@ func (w *IDWalk) SampledIDs(dst []int64, nodes []int32, n int, seed int64, track
 	for i := range draws {
 		draws[i] = uint32(rng.Intn(i + 1))
 	}
+	w.draws = draws
+}
+
+// Walk returns PermutedIDs(n, seed)[v] for every v in nodes, in order,
+// for the (n, seed) Record recorded last, without building the
+// permutation. It walks the draws backwards from i = n−1 tracking only
+// the queried positions: swap i writes ID i to position J_i and moves
+// the old content of J_i to position i, so a query at J_i resolves to
+// ID i, and a query at position i ≠ J_i moves to J_i. Tracked positions
+// stay distinct, the walk stops once every query is resolved, and its
+// cost is two bit tests per step.
+//
+// tracked must be an all-zero set over at least n bits; it is all-zero
+// again on return.
+func (w *IDWalk) Walk(dst []int64, nodes []int32, tracked *bitset.Set) []int64 {
+	ids := dst[:0]
+	if cap(ids) < len(nodes) {
+		ids = make([]int64, len(nodes))
+	}
+	ids = ids[:len(nodes)]
+	if len(nodes) == 0 {
+		return ids
+	}
+	draws := w.draws
 
 	if w.at == nil {
 		w.at = make(map[int]int, len(nodes))
@@ -375,7 +383,7 @@ func (w *IDWalk) SampledIDs(dst []int64, nodes []int32, n int, seed int64, track
 			w.at[p] = q
 		}
 	}
-	for i := n - 1; len(w.at) > 0; i-- {
+	for i := len(draws) - 1; len(w.at) > 0; i-- {
 		j := int(draws[i])
 		if tracked.Contains(j) {
 			ids[w.at[j]] = int64(i)

@@ -52,10 +52,13 @@ func NewNodeRand(seed, node int64) *rand.Rand {
 // redraw of a value rounding to 1. Only such nodes, a 2^-53 event per
 // draw, are stored, so the state is an empty map in practice.
 //
-// Coins is not safe for concurrent use; callers pool whole values.
+// Coins is not safe for concurrent use, except that TryPair only reads:
+// any number of goroutines may call it between writes (Reset, Pair,
+// Sample).
 type Coins struct {
-	seed  int64
-	extra map[int]uint64 // node -> counters its earlier draws redrew
+	seed    int64
+	extra   map[int]uint64 // node -> counters its earlier draws redrew
+	redraws [][]int        // Sample's nodes to redraw, per range
 }
 
 // Reset keys c to the node streams of seed, each at its first draw.
@@ -69,21 +72,37 @@ func (c *Coins) Reset(seed int64) {
 // when Pair(v, r') was called for every r' < r first, so that any
 // earlier redraw is known.
 func (c *Coins) Pair(v, r int) (float64, float64) {
-	key := uint64(splitSeed(c.seed, int64(v)))
-	ctr := uint64(2*r + 1)
+	if f1, f2, ok := c.TryPair(v, r); ok {
+		return f1, f2
+	}
+	return c.redraw(v, r)
+}
+
+// TryPair is Pair's read-only fast path: it returns Pair(v, r) with ok
+// set, or ok false when one of the two draws needs math/rand's redraw
+// of a value rounding to 1 — a 2^-53 event per draw — which only Pair
+// resolves, since it records the skipped counters.
+func (c *Coins) TryPair(v, r int) (f1, f2 float64, ok bool) {
+	key, ctr := c.counter(v, r)
+	f1, f2 = unitFloat(key+ctr*golden), unitFloat(key+(ctr+1)*golden)
+	return f1, f2, f1 != 1 && f2 != 1
+}
+
+// counter returns node v's stream key and the counter of its Float64
+// call 2r.
+func (c *Coins) counter(v, r int) (key, ctr uint64) {
+	key = uint64(splitSeed(c.seed, int64(v)))
+	ctr = uint64(2*r + 1)
 	if len(c.extra) != 0 {
 		ctr += c.extra[v]
 	}
-	f1, f2 := unitFloat(key+ctr*golden), unitFloat(key+(ctr+1)*golden)
-	if f1 == 1 || f2 == 1 {
-		return c.redraw(v, key, ctr)
-	}
-	return f1, f2
+	return key, ctr
 }
 
 // redraw is Pair's slow path: math/rand's Float64 loop, counter by
 // counter, recording the counters it skipped.
-func (c *Coins) redraw(v int, key, ctr uint64) (float64, float64) {
+func (c *Coins) redraw(v, r int) (float64, float64) {
+	key, ctr := c.counter(v, r)
 	var f [2]float64
 	skipped := uint64(0)
 	for i := range f {

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,8 @@ func TestSampledIDsMatchPermutedIDs(t *testing.T) {
 				queries = append(queries, q)
 			}
 			for _, q := range queries {
-				buf = w.SampledIDs(buf, q, n, seed, tracked)
+				w.Record(n, seed)
+				buf = w.Walk(buf, q, tracked)
 				if len(buf) != len(q) {
 					t.Fatalf("n=%d seed=%d: %d IDs for %d nodes", n, seed, len(buf), len(q))
 				}
@@ -92,7 +94,8 @@ func BenchmarkPermutedIDs(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchIDs = w.SampledIDs(benchIDs, nodes, n, int64(i), tracked)
+			w.Record(n, int64(i))
+			benchIDs = w.Walk(benchIDs, nodes, tracked)
 		}
 	})
 }
@@ -128,12 +131,10 @@ func TestCoinsMatchNodeRand(t *testing.T) {
 // coins skip a counter and every later version shifts by one.
 func TestCoinsRedrawAtOne(t *testing.T) {
 	const node = 3
-	key := unmix64(^uint64(0)) - golden // the first draw is 2^64−1: Int63 = 2^63−1
+	seed, key := redrawSeed(node)
 	if f := unitFloat(key + golden); f != 1 {
 		t.Fatalf("constructed draw is %v, want exactly 1", f)
 	}
-	gamma := uint64(golden)
-	seed := int64(unmix64(key) - gamma*(node+1))
 	if got := uint64(splitSeed(seed, node)); got != key {
 		t.Fatalf("splitSeed(%d, %d) = %#x, want %#x", seed, node, got, key)
 	}
@@ -155,6 +156,73 @@ func TestCoinsRedrawAtOne(t *testing.T) {
 	}
 	if c.Reset(seed); len(c.extra) != 0 {
 		t.Fatal("Reset kept a redraw offset")
+	}
+}
+
+// redrawSeed returns the seed under which node's stream key is key and
+// its first draw is 2^64−1 (Int63 = 2^63−1), which rounds to 1.0.
+func redrawSeed(node int64) (seed int64, key uint64) {
+	key = unmix64(^uint64(0)) - golden
+	gamma := uint64(golden)
+	return int64(unmix64(key) - gamma*uint64(node+1)), key
+}
+
+// TestCoinsFastPathMatchesPair pins the read-only fast path and the
+// split sampling pass to Pair: with redraw offsets seeded for chosen
+// nodes, and under a seed whose node 3 redraws its first draw, TryPair
+// returns Pair's coins wherever it reports ok, and fails only where a
+// draw rounds to 1; and Sample at any split gives the sample set, and
+// the redraw record, of the serial loop over Pair, version by version.
+func TestCoinsFastPathMatchesPair(t *testing.T) {
+	const n, versions = 1 << 15, 3
+	const p1, p2 = 0.1, 0.12
+	atOne, _ := redrawSeed(3)
+	seeded := map[int]uint64{0: 1, 63: 2, 64: 1, 4097: 3, n - 1: 2}
+	reset := func(c *Coins, seed int64) {
+		c.Reset(seed)
+		c.extra = maps.Clone(seeded)
+	}
+	for _, seed := range []int64{1, -99, atOne} {
+		var ref Coins
+		reset(&ref, seed)
+		want := make([]*bitset.Set, versions)
+		failed := 0
+		for r := range want {
+			want[r] = bitset.New(n)
+			for v := 0; v < n; v++ {
+				f1, f2, ok := ref.TryPair(v, r)
+				w1, w2 := ref.Pair(v, r)
+				switch {
+				case ok && (f1 != w1 || f2 != w2):
+					t.Fatalf("seed %d node %d version %d: TryPair (%v, %v), Pair (%v, %v)", seed, v, r, f1, f2, w1, w2)
+				case !ok && f1 != 1 && f2 != 1:
+					t.Fatalf("seed %d node %d version %d: TryPair failed on (%v, %v), neither 1", seed, v, r, f1, f2)
+				case !ok:
+					failed++
+				}
+				if w1 < p1 || w2 < p2 {
+					want[r].Add(v)
+				}
+			}
+		}
+		if seed == atOne && failed == 0 {
+			t.Fatal("no draw needed a redraw; the slow path went untested")
+		}
+		for _, parts := range []int{1, 2, 3, 7} {
+			var c Coins
+			reset(&c, seed)
+			in := bitset.New(n)
+			for r := range want {
+				size := c.Sample(in, r, p1, p2, parts)
+				if !in.Equal(want[r]) || size != want[r].Count() {
+					t.Fatalf("seed %d version %d parts %d: sample of %d differs from the serial one of %d",
+						seed, r, parts, size, want[r].Count())
+				}
+			}
+			if !maps.Equal(c.extra, ref.extra) {
+				t.Fatalf("seed %d parts %d: redraw record %v, serial %v", seed, parts, c.extra, ref.extra)
+			}
+		}
 	}
 }
 

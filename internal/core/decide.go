@@ -1,6 +1,9 @@
 package core
 
-import "nearclique/internal/graph"
+import (
+	"nearclique/internal/bitset"
+	"nearclique/internal/graph"
+)
 
 // This file holds the component-building and decision-stage code shared
 // verbatim by the centralized replay and the cached search probes.
@@ -134,7 +137,7 @@ func committed(sc *seqComp, acked int32) bool {
 // candidate list is finalized into res. The acks are counts per
 // component index, so the stage is deterministic regardless of component
 // or voter visit order.
-func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, res *Result) {
+func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, res *Result, set *bitset.Set) {
 	acked := make([]int32, len(comps))
 	b.count(comps, acked)
 
@@ -144,7 +147,7 @@ func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, 
 			continue
 		}
 		label := sc.rootID*int64(opts.Versions) + int64(sc.version)
-		var membersOut []int
+		membersOut := make([]int, 0, sc.size) // the announced |T|
 		for i, u := range sc.voters {
 			if sc.inT(i, sc.bStar) {
 				res.Labels[u] = label
@@ -158,5 +161,5 @@ func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, 
 			SubsetX: decodeSubset(sc.members, sc.bStar),
 		})
 	}
-	res.Candidates = finalizeCandidates(g, out)
+	res.Candidates = finalizeCandidates(g, out, set, workers(opts.Parallelism))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"nearclique/internal/bitset"
 	"nearclique/internal/congest"
 	"nearclique/internal/graph"
 )
@@ -136,7 +137,7 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, er
 	for i, nd := range d.nodes {
 		res.Labels[i] = nd.label
 	}
-	res.Candidates = finalizeCandidates(g, d.collectCandidates(res.Labels))
+	res.Candidates = finalizeCandidates(g, d.collectCandidates(res.Labels), bitset.New(g.N()), workers(opts.Parallelism))
 	res.Metrics = d.net.Metrics()
 	return res, nil
 }

@@ -40,17 +40,27 @@ type ktScratch struct {
 
 	masks   []uint32 // per voter, while building
 	classOf []int32  // mask -> class+1, 0 = unseen; reset after each build
-	cnt     []int32  // per class, while building one histogram
-	touched []int32
+	hparts  []histPart
+	split   splitter // the histogram's voter runs
 
 	kRows   []uint64 // per class: the K row, words per subset table
 	nbrK    []int32  // per subset: one voter's neighbor K sum
 	kcounts []int32  // per subset: |K_{2ε²}(X_b)| of the last evaluated component
 }
 
+// histPart is one histogram worker's state: its per-class counters,
+// the classes the current voter touched, and — for every worker but the
+// first, which appends to the component's table — its voters' entries.
+type histPart struct {
+	cnt     []int32
+	touched []int32
+	hist    []classCount
+}
+
 // buildKT captures the component's mask classes and class histograms.
-// sc.members and sc.voters must be set.
-func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch) {
+// sc.members and sc.voters must be set. The histograms, most of the
+// work, are built in up to par runs of voters of near-equal Σ deg.
+func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int) {
 	voters := sc.voters
 	if len(x.voterPos) < g.N() {
 		x.voterPos = make([]int32, g.N())
@@ -90,28 +100,60 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch) {
 		x.classOf[a] = 0
 	}
 
-	x.cnt = resizeZero(x.cnt, len(kt.classMask))
+	// Run p > 0 fills its own entries and its voters' offsets relative
+	// to them; after the join they follow run p−1's, offsets shifted.
+	k := x.split.cut(g, voters, par)
+	for len(x.hparts) < k {
+		x.hparts = append(x.hparts, histPart{})
+	}
 	kt.histOff = make([]int32, len(voters)+1)
-	for i, u := range voters {
-		x.touched = x.touched[:0]
-		for _, w := range g.Neighbors(u) {
-			if p := pos[w] - 1; p >= 0 {
-				c := kt.voterClass[p]
-				if x.cnt[c] == 0 {
-					x.touched = append(x.touched, c)
-				}
-				x.cnt[c]++
-			}
+	cuts := x.split.cuts
+	for p := 1; p < k; p++ {
+		x.split.wg.Add(1)
+		go func() {
+			defer x.split.wg.Done()
+			hp := &x.hparts[p]
+			hp.hist = sc.histogram(g, x, hp, cuts[p], cuts[p+1], hp.hist[:0])
+		}()
+	}
+	kt.hist = sc.histogram(g, x, &x.hparts[0], 0, cuts[1], nil)
+	x.split.wg.Wait()
+	for p := 1; p < k; p++ {
+		base := int32(len(kt.hist))
+		for i := cuts[p] + 1; i <= cuts[p+1]; i++ {
+			kt.histOff[i] += base
 		}
-		for _, c := range x.touched {
-			kt.hist = append(kt.hist, classCount{class: c, count: x.cnt[c]})
-			x.cnt[c] = 0
-		}
-		kt.histOff[i+1] = int32(len(kt.hist))
+		kt.hist = append(kt.hist, x.hparts[p].hist...)
 	}
 	for _, u := range voters {
 		pos[u] = 0
 	}
+}
+
+// histogram appends the class histograms of voters [lo, hi) to hist,
+// setting each one's end offset in hist, and returns hist. It reads the
+// voter index and the classes, and writes only hp and those offsets.
+func (sc *seqComp) histogram(g *graph.Graph, x *ktScratch, hp *histPart, lo, hi int, hist []classCount) []classCount {
+	kt, pos := &sc.kt, x.voterPos
+	hp.cnt = resizeZero(hp.cnt, len(kt.classMask))
+	for i := lo; i < hi; i++ {
+		hp.touched = hp.touched[:0]
+		for _, w := range g.Neighbors(sc.voters[i]) {
+			if p := pos[w] - 1; p >= 0 {
+				c := kt.voterClass[p]
+				if hp.cnt[c] == 0 {
+					hp.touched = append(hp.touched, c)
+				}
+				hp.cnt[c]++
+			}
+		}
+		for _, c := range hp.touched {
+			hist = append(hist, classCount{class: c, count: hp.cnt[c]})
+			hp.cnt[c] = 0
+		}
+		kt.histOff[i+1] = int32(len(hist))
+	}
+	return hist
 }
 
 // evalKT fills the component's T rows and tcounts at ε, and leaves

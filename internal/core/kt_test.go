@@ -32,7 +32,8 @@ func ktOracleEps() []float64 {
 
 // kernelComp builds a component over the given members the way the
 // replays do — voters are the members plus all their neighbors — and
-// captures its kernel tables.
+// captures its kernel tables, on two workers where the component's
+// adjacency is large enough to split.
 func kernelComp(g *graph.Graph, members []int, ver int, x *ktScratch) *seqComp {
 	sc := newSeqComp(members, ver)
 	voters := bitset.FromIndices(g.N(), members)
@@ -42,7 +43,7 @@ func kernelComp(g *graph.Graph, members []int, ver int, x *ktScratch) *seqComp {
 		}
 	}
 	sc.voters = voters.Indices()
-	sc.buildKT(g, x)
+	sc.buildKT(g, x, 2)
 	return sc
 }
 
@@ -135,7 +136,7 @@ func TestSearchCacheEvaluateMatchesFreshFinish(t *testing.T) {
 			}
 			f := newSeqComp(members, sc.version)
 			f.voters = sc.voters
-			f.buildKT(g, &fresh)
+			f.buildKT(g, &fresh, 1)
 			f.finish(eps, need, &fresh)
 			if f.bStar != sc.bStar || f.size != sc.size ||
 				!slices.Equal(f.tcounts, sc.tcounts) || !slices.Equal(f.tbits, sc.tbits) {

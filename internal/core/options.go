@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"nearclique/internal/bitset"
 	"nearclique/internal/congest"
 	"nearclique/internal/flight"
 	"nearclique/internal/graph"
@@ -70,7 +71,9 @@ type Options struct {
 	// MaxComponentSize aborts the run when a component of G[S] exceeds
 	// this size (see ErrComponentTooLarge). 0 means the default.
 	MaxComponentSize int
-	// Parallelism bounds simulator worker goroutines; 0 means GOMAXPROCS.
+	// Parallelism bounds the run's worker goroutines: the simulators'
+	// and the centralized replay's; 0 means GOMAXPROCS. Outputs are
+	// identical at any setting.
 	Parallelism int
 	// Engine selects the simulator executor (default: the sharded
 	// flat-buffer engine; congest.EngineLegacy is the reference engine).
@@ -202,10 +205,12 @@ func (r *Result) Best() *Candidate {
 }
 
 // finalizeCandidates sorts candidates (size desc, then label asc) and
-// fills densities.
-func finalizeCandidates(g *graph.Graph, cands []Candidate) []Candidate {
+// fills densities, each summed in up to par runs with set — all-zero on
+// entry and on return — as its membership scratch.
+func finalizeCandidates(g *graph.Graph, cands []Candidate, set *bitset.Set, par int) []Candidate {
+	var sp splitter
 	for i := range cands {
-		cands[i].Density = g.DensityOf(cands[i].Members)
+		cands[i].Density = sp.density(g, cands[i].Members, set, par)
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if len(cands[i].Members) != len(cands[j].Members) {

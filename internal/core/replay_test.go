@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"nearclique/internal/bitset"
+	"nearclique/internal/flight"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
 )
@@ -84,11 +88,8 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
 	scratch := getSeqScratch()
 	defer putSeqScratch(scratch)
-	check := func(stage string, comps []*seqComp) {
+	zero := func(stage string) {
 		t.Helper()
-		if len(comps) == 0 {
-			t.Fatalf("%s: no component was built; the check would be vacuous", stage)
-		}
 		if c := scratch.mark.Count(); c != 0 {
 			t.Fatalf("%s: %d mark bits left set", stage, c)
 		}
@@ -97,6 +98,13 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 				t.Fatalf("%s: voter index of node %d left at %d", stage, v, p)
 			}
 		}
+	}
+	check := func(stage string, comps []*seqComp) {
+		t.Helper()
+		if len(comps) == 0 {
+			t.Fatalf("%s: no component was built; the check would be vacuous", stage)
+		}
+		zero(stage)
 	}
 
 	opts, err := Options{Epsilon: 0.25, ExpectedSample: 12, Seed: 1, Versions: 2}.validated(g.N())
@@ -111,7 +119,7 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBallot(comps, &scratch.kt)
-	decideAndCommit(g, opts, comps, &b, res)
+	decideAndCommit(g, opts, comps, &b, res, scratch.mark)
 	check("solve", comps)
 
 	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 12, Versions: 2, Seed: 1}.normalized(g.N())
@@ -156,6 +164,159 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 		t.Fatalf("abort: err %v, want ErrComponentTooLarge", err)
 	}
 	check("abort", comps)
+
+	// On two workers the ID draws are recorded by a worker of their own
+	// from the start of the traversal. A run canceled at its first
+	// component, and one aborted by its first component of two nodes,
+	// return while that worker is most likely still drawing: each must
+	// join it, so the solve that follows on the same scratch — whose
+	// own draw worker rewrites the draws — races with nothing (under
+	// -race) and elects the roots a fresh solve elects.
+	big, bigOpts := parallelInstance()
+	bigOpts, err = bigOpts.validated(big.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigOpts.Parallelism = 2
+	if parts(big.N(), 2) < 2 {
+		t.Fatalf("n = %d starts no draw worker; the runs below would be serial", big.N())
+	}
+	solve := func(stage string, ctx context.Context, opts Options) (*Result, []*seqComp, error) {
+		res := &Result{Labels: make([]int64, big.N()), SampleSizes: make([]int, opts.Versions)}
+		for i := range res.Labels {
+			res.Labels[i] = NoLabel
+		}
+		comps, err := collectComps(ctx, big, opts, scratch, nil, res, func(sc *seqComp) {
+			sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
+		})
+		if err == nil {
+			b := newBallot(comps, &scratch.kt)
+			decideAndCommit(big, opts, comps, &b, res, scratch.mark)
+		}
+		zero(stage)
+		return res, comps, err
+	}
+	if _, _, err := solve("parallel canceled", &cancelAfter{live: 1}, bigOpts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("parallel run canceled at its first component: err %v, want context.Canceled", err)
+	}
+	tiny := bigOpts
+	tiny.MaxComponentSize = 1
+	if _, _, err := solve("parallel abort", ctx, tiny); !errors.Is(err, ErrComponentTooLarge) {
+		t.Fatalf("parallel abort: err %v, want ErrComponentTooLarge", err)
+	}
+	got, comps, err := solve("parallel solve", ctx, bigOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("parallel solve", comps)
+	want, err := FindSequentialContext(ctx, big, bigOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultTranscript(got, true) != resultTranscript(want, true) {
+		t.Fatal("the solve after the canceled and aborted runs diverges from a fresh solve")
+	}
+}
+
+// parallelInstance is the shape that crosses every split threshold of
+// the replay at two workers: n = 2e4 nodes sample in two ranges and
+// start the draw worker, and the planted set of 600 (degree ≈ 600 each)
+// gives its components, and the committed candidate, an adjacency of
+// well over 2·minPartWork entries.
+func parallelInstance() (*graph.Graph, Options) {
+	const n, size = 20_000, 600
+	g := gen.SparsePlantedNearClique(n, size, 0.25*0.25*0.25, 10, 1).Graph
+	return g, Options{Epsilon: 0.25, ExpectedSample: 2 * float64(n) / size, Seed: 1, Versions: 2}
+}
+
+// TestParallelReplayBitIdentical pins the parallel replay to the serial
+// one: Solve and Search on an instance that crosses every split
+// threshold give byte-identical transcripts and flight event streams
+// at Parallelism 1, 2 and 3 under GOMAXPROCS 1, 2 and 4, and three
+// concurrent solves on two workers each match a solo solve.
+func TestParallelReplayBitIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ctx := context.Background()
+	g, opts := parallelInstance()
+	so := SearchOptions{Rho: 0.02, ExpectedSample: opts.ExpectedSample, Versions: 2, Seed: 1}
+
+	res, err := FindSequentialContext(ctx, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := res.Best()
+	if best == nil {
+		t.Fatal("no candidate committed; the density split would go untested")
+	}
+	if work := degreeTotal(g, best.Members); work < 2*minPartWork {
+		t.Fatalf("best candidate's adjacency is %d entries, below the split threshold %d", work, 2*minPartWork)
+	}
+
+	var want string
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, par := range []int{1, 2, 3} {
+			o, s := opts, so
+			o.Parallelism, s.Parallelism = par, par
+			o.Flight, s.Flight = flight.New(4096), flight.New(4096)
+			res, err := FindSequentialContext(ctx, g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps, sres, err := SearchFrontierContext(ctx, g, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("solve:\n%s%s\nsearch ε=%v:\n%s%s", resultTranscript(res, true), eventStream(o.Flight),
+				eps, resultTranscript(sres, true), eventStream(s.Flight))
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("GOMAXPROCS=%d Parallelism=%d: transcript or event stream diverges from GOMAXPROCS=1 Parallelism=1", procs, par)
+			}
+		}
+	}
+
+	// Concurrent solves on two workers each draw their own pooled
+	// scratch; under -race this also checks that no worker outlives its
+	// run.
+	solo := resultTranscript(res, true)
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opts
+			o.Parallelism = 2
+			res, err := FindSequentialContext(ctx, g, o)
+			if err != nil {
+				t.Error(err)
+			} else if resultTranscript(res, true) != solo {
+				t.Errorf("concurrent solve %d diverges from a solo solve", i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// degreeTotal is Σ deg over nodes.
+func degreeTotal(g *graph.Graph, nodes []int) int {
+	total := 0
+	for _, u := range nodes {
+		total += g.Degree(u)
+	}
+	return total
+}
+
+// eventStream canonicalizes a recorder's events: everything but the
+// wall-clock stamps and the heap deltas, which measure the machine.
+func eventStream(rec *flight.Recorder) string {
+	var b strings.Builder
+	for _, ev := range rec.Snapshot() {
+		fmt.Fprintf(&b, "%s %s round=%d frontier=%d frames=%d bytes=%d\n",
+			ev.Kind, rec.PhaseName(ev.Phase), ev.Round, ev.Frontier, ev.Frames, ev.Bytes)
+	}
+	return b.String()
 }
 
 // cancelAfter is a context that reports itself live to its first live
@@ -187,30 +348,35 @@ func replayInstance() (*graph.Graph, Options) {
 
 // TestSolveReplayAllocsPerNode pins the replay's allocation budget: once
 // the scratch pool is warm, a solve on the n = 2e5 planted instance
-// allocates at most 32 bytes per node. The Labels output alone is 8;
-// everything else graph-sized — coins, IDs, traversal and mark sets — is
-// pooled. One P keeps the pooled scratch on the P that put it back.
+// allocates at most 32 bytes per node, serially on one P and on two
+// workers at GOMAXPROCS 2. The Labels output alone is 8; everything else
+// graph-sized — coins, IDs, traversal and mark sets, the histogram
+// workers' buffers — is pooled.
 func TestSolveReplayAllocsPerNode(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g, opts := replayInstance()
-	const runs = 4
-	solveAll := func() {
-		for i := 0; i < runs; i++ {
-			opts.Seed = int64(i + 1)
-			if _, err := FindSequentialContext(context.Background(), g, opts); err != nil {
-				t.Fatal(err)
+	for _, row := range []struct{ procs, par int }{{1, 0}, {2, 2}} {
+		runtime.GOMAXPROCS(row.procs)
+		opts.Parallelism = row.par
+		const runs = 4
+		solveAll := func() {
+			for i := 0; i < runs; i++ {
+				opts.Seed = int64(i + 1)
+				if _, err := FindSequentialContext(context.Background(), g, opts); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	solveAll() // warm-up: the pool and the kernel buffers reach their size
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	solveAll()
-	runtime.ReadMemStats(&after)
-	perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(g.N())
-	t.Logf("%.1f B/node per solve", perNode)
-	if perNode > 32 {
-		t.Fatalf("a solve allocates %.1f B/node, want ≤ 32", perNode)
+		solveAll() // warm-up: the pool and the kernel buffers reach their size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		solveAll()
+		runtime.ReadMemStats(&after)
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(g.N())
+		t.Logf("GOMAXPROCS=%d Parallelism=%d: %.1f B/node per solve", row.procs, row.par, perNode)
+		if perNode > 32 {
+			t.Fatalf("GOMAXPROCS=%d Parallelism=%d: a solve allocates %.1f B/node, want ≤ 32", row.procs, row.par, perNode)
+		}
 	}
 }
 

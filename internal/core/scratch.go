@@ -28,10 +28,12 @@ const seqCtxCheckEvery = 64
 // in-flight run owns one scratch exclusively, and parallel SolveBatch
 // workers draw distinct instances.
 type seqScratch struct {
-	coins congest.Coins
-	walk  congest.IDWalk
-	nodes []int32 // every component's members, the ID walk's queries
-	ids   []int64 // their protocol IDs
+	coins      congest.Coins
+	walk       congest.IDWalk
+	draws      sync.WaitGroup // the worker recording walk's draws
+	drawsAhead bool           // a worker records them (startDraws)
+	nodes      []int32        // every component's members, the ID walk's queries
+	ids        []int64        // their protocol IDs
 
 	fsc      *frontier.Scratch
 	inS      *bitset.Set

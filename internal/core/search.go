@@ -41,6 +41,9 @@ type SearchOptions struct {
 	// MaxComponentSize caps every probe's sampled components, as
 	// Options.MaxComponentSize does for one run (0 means the default).
 	MaxComponentSize int
+	// Parallelism bounds the workers of each probe run, as
+	// Options.Parallelism does for one run; 0 means GOMAXPROCS.
+	Parallelism int
 	// Flight, if non-nil, receives the probes' flight events: the shared
 	// traversal's wave events on the cached path, or phase summaries from
 	// every full probe run under SearchWithRunner. Purely observational.
@@ -106,6 +109,7 @@ func SearchWithRunner(ctx context.Context, g *graph.Graph, so SearchOptions, run
 			Versions:         so.Versions,
 			MinSize:          need,
 			MaxComponentSize: so.MaxComponentSize,
+			Parallelism:      so.Parallelism,
 			Flight:           so.Flight,
 		})
 		if err != nil {

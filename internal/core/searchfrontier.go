@@ -118,6 +118,7 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 		Versions:         so.Versions,
 		MinSize:          need,
 		MaxComponentSize: so.MaxComponentSize,
+		Parallelism:      so.Parallelism,
 	}.validated(g.N())
 	if err != nil {
 		return nil, err
@@ -241,7 +242,8 @@ func (c *searchCache) clearSet() {
 // materialize builds the winning ε's full Result — labels, finalized
 // candidates, sample sizes — through the same decideAndCommit every
 // engine runs, so it is bit-identical to what a full probe at that ε
-// returns. It first hands the mark set back empty.
+// returns. It first empties the mark set, which the committed
+// candidates' densities then borrow.
 func (c *searchCache) materialize(eps float64) *Result {
 	c.clearSet()
 	res := &Result{
@@ -253,6 +255,6 @@ func (c *searchCache) materialize(eps float64) *Result {
 		res.Labels[i] = NoLabel
 	}
 	c.evaluate(eps)
-	decideAndCommit(c.g, c.opts, c.comps, &c.ballot, res)
+	decideAndCommit(c.g, c.opts, c.comps, &c.ballot, res, c.memberSet)
 	return res
 }

@@ -74,7 +74,7 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 	// aborts the rest; a candidate commits iff no adjacent voter aborted.
 	ft.begin("decide")
 	b := newBallot(comps, &scratch.kt)
-	decideAndCommit(g, opts, comps, &b, res)
+	decideAndCommit(g, opts, comps, &b, res, scratch.mark)
 	ft.end(len(comps))
 	if opts.Progress != nil {
 		opts.Progress(Progress{
@@ -95,9 +95,13 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 // identically.
 func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) ([]*seqComp, error) {
 	n := g.N()
+	par := workers(opts.Parallelism)
 	scratch.sizeFor(n)
 	scratch.coins.Reset(opts.Seed)
-	coins, inS := &scratch.coins, scratch.inS
+	scratch.startDraws(n, opts.Seed, par)
+	// The draw worker writes the scratch: join it before the scratch can
+	// go back to the pool, however the traversal ends.
+	defer scratch.draws.Wait()
 
 	p1 := opts.P / 2
 	p2 := 0.0
@@ -111,15 +115,9 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 			return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
 		}
 		ft.begin(fmt.Sprintf("v%d/explore", ver))
-		inS.Clear()
-		for v := 0; v < n; v++ {
-			if f1, f2 := coins.Pair(v, ver); f1 < p1 || f2 < p2 {
-				inS.Add(v)
-			}
-		}
-		res.SampleSizes[ver] = inS.Count()
+		res.SampleSizes[ver] = scratch.coins.Sample(scratch.inS, ver, p1, p2, parts(n, par))
 
-		for ci, members := range frontier.Components(g, inS, scratch.fsc, ft.onWave()) {
+		for ci, members := range frontier.Components(g, scratch.inS, scratch.fsc, ft.onWave()) {
 			if ci%seqCtxCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
 					return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
@@ -134,7 +132,7 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 			}
 			sc := newSeqComp(members, ver)
 			sc.voters = scratch.gatherVoters(g, members)
-			sc.buildKT(g, &scratch.kt)
+			sc.buildKT(g, &scratch.kt, par)
 
 			visit(sc)
 			comps = append(comps, sc)
@@ -153,6 +151,21 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 	return comps, nil
 }
 
+// startDraws starts recording the ID walk's draws, which depend on
+// (n, seed) alone, on a worker of its own while the traversal runs —
+// when the replay has more than one worker and n is worth one.
+// Otherwise electRoots records them itself.
+func (s *seqScratch) startDraws(n int, seed int64, par int) {
+	s.drawsAhead = parts(n, par) > 1
+	if s.drawsAhead {
+		s.draws.Add(1)
+		go func() {
+			defer s.draws.Done()
+			s.walk.Record(n, seed)
+		}()
+	}
+}
+
 // electRoots sets every component's root, the member of minimum
 // protocol ID that the distributed protocol elects. The IDs come from
 // one backward walk over the ID permutation's draws that tracks only the
@@ -163,7 +176,11 @@ func (s *seqScratch) electRoots(comps []*seqComp, n int, seed int64) {
 	for _, sc := range comps {
 		s.nodes = append(s.nodes, sc.members...)
 	}
-	s.ids = s.walk.SampledIDs(s.ids, s.nodes, n, seed, s.mark)
+	s.draws.Wait()
+	if !s.drawsAhead && len(s.nodes) > 0 {
+		s.walk.Record(n, seed)
+	}
+	s.ids = s.walk.Walk(s.ids, s.nodes, s.mark)
 	ids := s.ids
 	for _, sc := range comps {
 		sc.electRoot(ids[:len(sc.members)])

@@ -104,8 +104,9 @@ func TestSolverSolveMatchesLegacyFind(t *testing.T) {
 
 // TestSolveBatchMatchesSoloSolves pins batch serving against sequential
 // solving: a batch of replicated instances at parallelism ≥ 8 must return
-// exactly the transcript each solo Solve produces, for both the pooled
-// sequential path and the sharded simulator.
+// exactly the transcript each solo Solve produces, for the pooled replay
+// (auto and seq, whose runs get the batch's share of the workers) and
+// the sharded simulator.
 func TestSolveBatchMatchesSoloSolves(t *testing.T) {
 	ctx := context.Background()
 	var graphs []*graph.Graph
@@ -122,7 +123,7 @@ func TestSolveBatchMatchesSoloSolves(t *testing.T) {
 		names = append(names, name, name, name)
 	}
 	for _, engine := range []nearclique.Engine{
-		nearclique.EngineSequential, nearclique.EngineSharded,
+		nearclique.EngineAuto, nearclique.EngineSequential, nearclique.EngineSharded,
 	} {
 		s, err := nearclique.New(
 			nearclique.WithEngine(engine),

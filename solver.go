@@ -219,8 +219,10 @@ func WithMaxComponentSize(k int) Option {
 	}
 }
 
-// WithParallelism bounds simulator worker goroutines per run; 0 (the
-// default) means GOMAXPROCS. Outputs are identical at any setting.
+// WithParallelism bounds the worker goroutines of one run — the
+// replay's (engine auto and seq, Solve and Search) and the simulators';
+// 0 (the default) means GOMAXPROCS. Outputs are identical at any
+// setting.
 func WithParallelism(w int) Option {
 	return func(c *config) error {
 		if w < 0 {
@@ -527,20 +529,7 @@ func (s *Solver) SolveBatch(ctx context.Context, graphs []*Graph) ([]*Result, er
 		return results, nil
 	}
 
-	// When several simulator-backed runs fly concurrently, split the
-	// machine between them instead of oversubscribing: per-run worker
-	// counts never change outputs (pinned by the determinism suite), only
-	// speed.
-	opts := s.cfg.opts
-	if workers > 1 && opts.Parallelism == 0 &&
-		(s.cfg.engine == EngineSharded || s.cfg.engine == EngineLegacy) {
-		if per := runtime.GOMAXPROCS(0) / workers; per > 1 {
-			opts.Parallelism = per
-		} else {
-			opts.Parallelism = 1
-		}
-	}
-
+	opts := s.batchOptions(workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -576,6 +565,20 @@ func (s *Solver) SolveBatch(ctx context.Context, graphs []*Graph) ([]*Result, er
 	}
 	wg.Wait()
 	return results, errors.Join(errs...)
+}
+
+// batchOptions returns the run options of a batch on workers
+// goroutines. Unless WithParallelism set a bound, the runs split the
+// machine between them instead of oversubscribing it: every engine, the
+// replay included, starts up to Parallelism workers per run. Per-run
+// worker counts never change outputs (pinned by the determinism
+// suites), only speed.
+func (s *Solver) batchOptions(workers int) core.Options {
+	opts := s.cfg.opts
+	if workers > 1 && opts.Parallelism == 0 {
+		opts.Parallelism = max(1, runtime.GOMAXPROCS(0)/workers)
+	}
+	return opts
 }
 
 // Search estimates the smallest ε at which g contains a reportable ε-near
@@ -614,6 +617,7 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 		EpsMax:           s.cfg.searchMax,
 		Seed:             s.cfg.opts.Seed,
 		MaxComponentSize: s.cfg.opts.MaxComponentSize,
+		Parallelism:      s.cfg.opts.Parallelism,
 		Flight:           s.cfg.opts.Flight,
 	}
 	var eps float64
@@ -627,7 +631,6 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 	case EngineSharded, EngineLegacy, EngineAsync:
 		eps, res, err = core.SearchWithRunner(ctx, g, so,
 			func(ctx context.Context, g *Graph, opts core.Options) (*Result, error) {
-				opts.Parallelism = s.cfg.opts.Parallelism
 				opts.MaxRounds = s.cfg.opts.MaxRounds
 				opts.AsyncMaxDelay = s.cfg.opts.AsyncMaxDelay
 				switch s.cfg.engine {
