@@ -61,31 +61,12 @@ func BenchmarkFindDistributed(b *testing.B) {
 		nearclique.WithEngine(nearclique.EngineSharded), nearclique.WithSeed(2))
 }
 
-// BenchmarkFindDistributedLegacy is the same workload on the legacy
-// reference engine; the ratio to BenchmarkFindDistributed is the
-// engine-rewrite speedup on a full protocol run.
-func BenchmarkFindDistributedLegacy(b *testing.B) {
-	benchSolve(b, genPlanted(b, 300, 100, 0.01, 0.03, 1).Graph,
-		nearclique.WithEngine(nearclique.EngineLegacy), nearclique.WithSeed(2))
-}
-
 // BenchmarkFindDistributedLarge runs the distributed protocol at n=20000
-// on a sparse planted instance (expected background degree 20) — a size
-// the per-edge-queue engine struggled with; pair with
-// BenchmarkFindDistributedLargeLegacy.
+// on a sparse planted instance (expected background degree 20).
 func BenchmarkFindDistributedLarge(b *testing.B) {
-	benchFindLarge(b, nearclique.EngineSharded)
-}
-
-func BenchmarkFindDistributedLargeLegacy(b *testing.B) {
-	benchFindLarge(b, nearclique.EngineLegacy)
-}
-
-func benchFindLarge(b *testing.B, engine nearclique.Engine) {
-	b.Helper()
 	const n = 20000
 	benchSolve(b, genPlanted(b, n, 600, 0.01, 20.0/(n-1), 1).Graph,
-		nearclique.WithEngine(engine), nearclique.WithSeed(2))
+		nearclique.WithEngine(nearclique.EngineSharded), nearclique.WithSeed(2))
 }
 
 func BenchmarkFindSequential(b *testing.B) {

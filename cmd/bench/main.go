@@ -275,43 +275,32 @@ func gossipBenchmarks(stderr io.Writer, quick bool, seed int64) []report.Measure
 	var out []report.Measurement
 	for _, gr := range graphs {
 		gr.g.CSR() // build once, outside the timed region
-		var legacyNS int64
-		for _, engine := range []congest.Engine{congest.EngineLegacy, congest.EngineSharded} {
-			fmt.Fprintf(stderr, "bench: %s %s...\n", gr.name, engine.String())
-			res := measure(gr.name, engine, gr.g, func() *congest.Network {
-				net := congest.NewNetwork(gr.g, congest.Options{Seed: seed, Engine: engine},
-					func(ctx *congest.Context) congest.Proc { return &gossipProc{maxHop: hops} })
-				if err := net.RunPhase("gossip"); err != nil {
-					panic(err)
-				}
-				return net
-			})
-			if engine == congest.EngineLegacy {
-				legacyNS = res.WallNS
-			} else if res.WallNS > 0 {
-				res.SpeedupLegacy = round2(float64(legacyNS) / float64(res.WallNS))
+		fmt.Fprintf(stderr, "bench: %s sharded...\n", gr.name)
+		out = append(out, measure(gr.name, gr.g, 3, func() congest.Metrics {
+			net := congest.NewNetwork(gr.g, congest.Options{Seed: seed},
+				func(ctx *congest.Context) congest.Proc { return &gossipProc{maxHop: hops} })
+			if err := net.RunPhase("gossip"); err != nil {
+				panic(err)
 			}
-			out = append(out, res)
-		}
+			return net.Metrics()
+		}))
 	}
 	return out
 }
 
-// measure runs fn a few times and keeps the fastest wall time (with its
+// measure runs fn reps times and keeps the fastest wall time (with its
 // metrics), the standard best-of-k discipline for a noisy machine.
-func measure(name string, engine congest.Engine, g *graph.Graph, fn func() *congest.Network) report.Measurement {
-	const reps = 3
-	best := report.Measurement{Workload: name, Engine: engine.String(), N: g.N(), M: g.M()}
+func measure(name string, g *graph.Graph, reps int, fn func() congest.Metrics) report.Measurement {
+	best := report.Measurement{Workload: name, Engine: "sharded", N: g.N(), M: g.M()}
 	for i := 0; i < reps; i++ {
 		var ms0, ms1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
 		start := time.Now()
-		net := fn()
+		m := fn()
 		wall := time.Since(start).Nanoseconds()
 		runtime.ReadMemStats(&ms1)
 		if i == 0 || wall < best.WallNS {
-			m := net.Metrics()
 			best.WallNS = wall
 			best.Rounds = m.Rounds
 			best.Frames = m.Frames
@@ -344,71 +333,28 @@ func findBenchmarks(stderr io.Writer, quick bool, seed int64) []report.Measureme
 		// the E13 table always measure the same workload.
 		inst := expt.ScaleInstance(pt, seed)
 		inst.Graph.CSR()
-		engines := []congest.Engine{congest.EngineLegacy, congest.EngineSharded}
-		if !pt.Legacy {
-			engines = engines[1:]
-		}
 		name := fmt.Sprintf("find/planted-n%d", pt.N)
-		var legacyNS int64
-		for _, engine := range engines {
-			fmt.Fprintf(stderr, "bench: %s %s...\n", name, engine)
-			var recovered float64
-			res := measureFind(name, engine, inst.Graph, func() *core.Result {
-				r, err := core.Find(inst.Graph, expt.ScaleOptions(pt, seed+1, engine))
-				if err != nil {
-					panic(err)
-				}
-				if best := r.Best(); best != nil {
-					recovered = 100 * float64(expt.RecoveredCount(inst.D, best.Members)) /
-						float64(len(inst.D))
-				}
-				return r
-			})
-			res.RecoveredPct = round2(recovered)
-			if engine == congest.EngineLegacy {
-				legacyNS = res.WallNS
-			} else if legacyNS > 0 && res.WallNS > 0 {
-				res.SpeedupLegacy = round2(float64(legacyNS) / float64(res.WallNS))
-			}
-			out = append(out, res)
+		fmt.Fprintf(stderr, "bench: %s sharded...\n", name)
+		reps := 3
+		if pt.N >= 1_000_000 {
+			reps = 1
 		}
+		var recovered float64
+		res := measure(name, inst.Graph, reps, func() congest.Metrics {
+			r, err := core.Find(inst.Graph, expt.ScaleOptions(pt, seed+1))
+			if err != nil {
+				panic(err)
+			}
+			if best := r.Best(); best != nil {
+				recovered = 100 * float64(expt.RecoveredCount(inst.D, best.Members)) /
+					float64(len(inst.D))
+			}
+			return r.Metrics
+		})
+		res.RecoveredPct = round2(recovered)
+		out = append(out, res)
 	}
 	return out
-}
-
-func measureFind(name string, engine congest.Engine, g *graph.Graph, fn func() *core.Result) report.Measurement {
-	reps := 3
-	if g.N() >= 1_000_000 {
-		reps = 1
-	}
-	best := report.Measurement{Workload: name, Engine: engine.String(), N: g.N(), M: g.M()}
-	for i := 0; i < reps; i++ {
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		r := fn()
-		wall := time.Since(start).Nanoseconds()
-		runtime.ReadMemStats(&ms1)
-		if i == 0 || wall < best.WallNS {
-			best.WallNS = wall
-			best.Rounds = r.Metrics.Rounds
-			best.Frames = r.Metrics.Frames
-			best.PayloadBytes = r.Metrics.Bits / 8
-			best.Allocs = ms1.Mallocs - ms0.Mallocs
-			best.HeapBytes = heapGrowth(&ms0, &ms1)
-		}
-	}
-	if best.WallNS > 0 {
-		secs := float64(best.WallNS) / 1e9
-		best.RoundsPerSec = round2(float64(best.Rounds) / secs)
-		best.MBytesPerSec = round2(float64(best.PayloadBytes) / secs / 1e6)
-	}
-	if best.Rounds > 0 {
-		best.AllocsPerRnd = round2(float64(best.Allocs) / float64(best.Rounds))
-	}
-	best.GraphDigest = g.Digest()
-	return best
 }
 
 // heapGrowth returns the live-heap growth across a measured region (the

@@ -38,21 +38,11 @@ func TestBenchQuickEmitsValidJSON(t *testing.T) {
 		bySuffix[r.Workload+"/"+r.Engine] = true
 	}
 	for _, want := range []string{
-		"gossip/er/sharded", "gossip/er/legacy", "find/planted-n5000/sharded",
+		"gossip/er/sharded", "find/planted-n5000/sharded",
 	} {
 		if !bySuffix[want] {
 			t.Fatalf("missing workload %s in %v", want, bySuffix)
 		}
-	}
-	// Engines must agree on the protocol-level counters per workload.
-	counters := map[string][3]int{}
-	for _, r := range rep.Results {
-		key := r.Workload
-		c := [3]int{r.Rounds, r.Frames, r.PayloadBytes}
-		if prev, ok := counters[key]; ok && prev != c {
-			t.Fatalf("%s: engines disagree on counters: %v vs %v", key, prev, c)
-		}
-		counters[key] = c
 	}
 }
 

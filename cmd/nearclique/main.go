@@ -51,7 +51,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "random seed")
 		boost    = fs.Int("boost", 1, "boosting versions λ (Section 4.1)")
 		minSize  = fs.Int("minsize", 0, "disqualify near-cliques smaller than this")
-		engineFl = fs.String("engine", "", "auto | seq | sharded | legacy | async | shadow (default seq, or shadow with -count)")
+		engineFl = fs.String("engine", "", "auto | seq | sharded | async | shadow (default seq, or shadow with -count)")
 		countK   = fs.Int("count", 0, "estimate k-clique and (k,ε)-near-clique counts by Turán-shadow sampling instead of solving (0 = off)")
 		samples  = fs.Int("samples", 0, "estimator draws for -count (0 = the 4096 default)")
 		conf     = fs.Float64("confidence", 0, "error-bound coverage 1−δ for -count (0 = the 0.99 default)")
@@ -185,8 +185,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	simulated := engine == nearclique.EngineSharded || engine == nearclique.EngineLegacy ||
-		engine == nearclique.EngineAsync
+	simulated := engine == nearclique.EngineSharded || engine == nearclique.EngineAsync
 	fmt.Fprintf(stdout, "graph: n=%d m=%d | found %d near-clique(s)",
 		g.N(), g.M(), len(res.Candidates))
 	if res.RefineSpec != "" && len(res.Candidates) > 0 {

@@ -81,8 +81,7 @@ func TestErrInputTooLargeIsWrapped(t *testing.T) {
 func TestCancellationSurfacesAsContextErrors(t *testing.T) {
 	g := genPlanted(t, 300, 90, 0.01, 0.04, 5).Graph
 	for _, engine := range []nearclique.Engine{
-		nearclique.EngineSequential, nearclique.EngineSharded,
-		nearclique.EngineLegacy, nearclique.EngineAsync,
+		nearclique.EngineSequential, nearclique.EngineSharded, nearclique.EngineAsync,
 	} {
 		s, err := nearclique.New(nearclique.WithEngine(engine))
 		if err != nil {

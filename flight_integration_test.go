@@ -24,7 +24,6 @@ func TestFlightTranscriptsIdenticalAcrossEngines(t *testing.T) {
 	engines := []nearclique.Engine{
 		nearclique.EngineSequential,
 		nearclique.EngineSharded,
-		nearclique.EngineLegacy,
 		nearclique.EngineAsync,
 	}
 	for _, fixture := range goldenFixtures(t) {

@@ -36,48 +36,6 @@ func (s *Set) ForEachWord(fn func(wi int, w uint64)) {
 	}
 }
 
-// OrInto sets dst = a ∪ b and returns |dst|. All three sets must have the
-// same length; dst may alias a or b.
-func OrInto(dst, a, b *Set) int {
-	dst.sameLen(a)
-	dst.sameLen(b)
-	c := 0
-	for i := range dst.words {
-		w := a.words[i] | b.words[i]
-		dst.words[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// AndInto sets dst = a ∩ b and returns |dst|. All three sets must have the
-// same length; dst may alias a or b.
-func AndInto(dst, a, b *Set) int {
-	dst.sameLen(a)
-	dst.sameLen(b)
-	c := 0
-	for i := range dst.words {
-		w := a.words[i] & b.words[i]
-		dst.words[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// AndNotInto sets dst = a \ b and returns |dst|. All three sets must have
-// the same length; dst may alias a or b.
-func AndNotInto(dst, a, b *Set) int {
-	dst.sameLen(a)
-	dst.sameLen(b)
-	c := 0
-	for i := range dst.words {
-		w := a.words[i] &^ b.words[i]
-		dst.words[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // CopyFrom sets s to the contents of t and returns |s|. Lengths must match.
 func (s *Set) CopyFrom(t *Set) int {
 	s.sameLen(t)

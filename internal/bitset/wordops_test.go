@@ -6,29 +6,25 @@ import (
 	"testing"
 )
 
-// Property tests for the word-level operations against two independent
-// models: the per-bit Set API itself (Contains/ForEach) and a plain
-// map[int]bool. The word ops power the frontier kernels' push/pull
-// switching, so popcount exactness is part of the contract, not just
-// membership.
+// Property tests for the word-level operations against the per-bit Set
+// API (Contains/Count). Popcount exactness is part of the contract, not
+// just membership.
 
-func randomSet(n int, density float64, rng *rand.Rand) (*Set, map[int]bool) {
+func randomSet(n int, density float64, rng *rand.Rand) *Set {
 	s := New(n)
-	m := make(map[int]bool)
 	for i := 0; i < n; i++ {
 		if rng.Float64() < density {
 			s.Add(i)
-			m[i] = true
 		}
 	}
-	return s, m
+	return s
 }
 
 func TestForEachWordMatchesPerBitScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(300)
-		s, _ := randomSet(n, rng.Float64(), rng)
+		s := randomSet(n, rng.Float64(), rng)
 
 		// Reconstruct membership from words and compare bit by bit.
 		got := make(map[int]bool)
@@ -75,79 +71,11 @@ func TestWordOutOfRangeIsZero(t *testing.T) {
 	}
 }
 
-func TestSetCombinesMatchMapModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 80; trial++ {
-		n := 1 + rng.Intn(257)
-		a, ma := randomSet(n, rng.Float64(), rng)
-		b, mb := randomSet(n, rng.Float64(), rng)
-
-		type op struct {
-			name  string
-			run   func(dst, a, b *Set) int
-			model func(x, y bool) bool
-		}
-		ops := []op{
-			{"or", OrInto, func(x, y bool) bool { return x || y }},
-			{"and", AndInto, func(x, y bool) bool { return x && y }},
-			{"andnot", AndNotInto, func(x, y bool) bool { return x && !y }},
-		}
-		for _, o := range ops {
-			dst := New(n)
-			pop := o.run(dst, a, b)
-			want := 0
-			for i := 0; i < n; i++ {
-				expect := o.model(ma[i], mb[i])
-				if expect {
-					want++
-				}
-				if dst.Contains(i) != expect {
-					t.Fatalf("trial %d %s: bit %d = %v, want %v",
-						trial, o.name, i, dst.Contains(i), expect)
-				}
-			}
-			if pop != want {
-				t.Fatalf("trial %d %s: popcount %d, want %d", trial, o.name, pop, want)
-			}
-			if dst.Count() != want {
-				t.Fatalf("trial %d %s: Count %d, want %d", trial, o.name, dst.Count(), want)
-			}
-		}
-	}
-}
-
-func TestSetCombinesAliasing(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(200)
-		a, ma := randomSet(n, 0.5, rng)
-		b, mb := randomSet(n, 0.5, rng)
-
-		// dst aliases a: a &^= b in place.
-		aCopy := New(n)
-		aCopy.CopyFrom(a)
-		pop := AndNotInto(aCopy, aCopy, b)
-		want := 0
-		for i := 0; i < n; i++ {
-			expect := ma[i] && !mb[i]
-			if expect {
-				want++
-			}
-			if aCopy.Contains(i) != expect {
-				t.Fatalf("trial %d: aliased andnot bit %d wrong", trial, i)
-			}
-		}
-		if pop != want {
-			t.Fatalf("trial %d: aliased andnot popcount %d, want %d", trial, pop, want)
-		}
-	}
-}
-
 func TestCopyFromReturnsPopcount(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(300)
-		s, _ := randomSet(n, rng.Float64(), rng)
+		s := randomSet(n, rng.Float64(), rng)
 		dst := New(n)
 		dst.Add(0) // stale content must be overwritten
 		if pop := dst.CopyFrom(s); pop != s.Count() {
@@ -164,8 +92,8 @@ func TestCopyFromReturnsPopcount(t *testing.T) {
 func TestWordOpsPanicOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("length-mismatched OrInto did not panic")
+			t.Fatal("length-mismatched CopyFrom did not panic")
 		}
 	}()
-	OrInto(New(64), New(64), New(65))
+	New(64).CopyFrom(New(65))
 }

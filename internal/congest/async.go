@@ -71,6 +71,12 @@ func (q *eventQueue) Pop() interface{} {
 	return e
 }
 
+// delivery is one frame buffered at its receiver until its round runs.
+type delivery struct {
+	from NodeID
+	msg  Message
+}
+
 // asyncNodeState holds the synchronizer bookkeeping for one node.
 type asyncNodeState struct {
 	round       int32
@@ -137,8 +143,6 @@ func (e *asyncEngine) chargeSends(v NodeID) {
 		e.outstanding += delta
 		e.lastSends[v] = c.sends
 	}
-	// The synchronous activation machinery is unused here; drop its state.
-	c.pendingActivations = c.pendingActivations[:0]
 }
 
 // asyncCtxCheckEvery bounds how many events the asynchronous executor

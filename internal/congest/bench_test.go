@@ -50,7 +50,9 @@ func benchGraphs(b *testing.B) map[string]*graph.Graph {
 	}
 }
 
-func benchEngine(b *testing.B, engine Engine) {
+// BenchmarkEngineSharded measures an 8-hop gossip phase on the
+// synchronous executor.
+func BenchmarkEngineSharded(b *testing.B) {
 	for name, g := range benchGraphs(b) {
 		b.Run(name, func(b *testing.B) {
 			const hops = 8
@@ -58,7 +60,7 @@ func benchEngine(b *testing.B, engine Engine) {
 			b.ResetTimer()
 			totalRounds, totalBytes := 0, 0
 			for i := 0; i < b.N; i++ {
-				net := NewNetwork(g, Options{Seed: 7, Engine: engine}, func(ctx *Context) Proc {
+				net := NewNetwork(g, Options{Seed: 7}, func(ctx *Context) Proc {
 					return &gossipProc{maxHop: hops}
 				})
 				if err := net.RunPhase("gossip"); err != nil {
@@ -80,9 +82,6 @@ func benchEngine(b *testing.B, engine Engine) {
 		})
 	}
 }
-
-func BenchmarkEngineSharded(b *testing.B) { benchEngine(b, EngineSharded) }
-func BenchmarkEngineLegacy(b *testing.B)  { benchEngine(b, EngineLegacy) }
 
 // BenchmarkEngineShardedParallel exercises the worker pool explicitly
 // (shards > 1 even on a single-CPU machine).

@@ -18,13 +18,12 @@
 // when enforcement is off (how the LOCAL-model "neighbors' neighbors"
 // baseline is measured rather than forbidden).
 //
-// Two interchangeable executors implement these semantics (Options.Engine;
-// see DESIGN.md §5): the default sharded flat-buffer engine (sharded.go),
-// which partitions nodes across a persistent worker pool and double-
-// buffers rounds through per-edge delivery slots, and the legacy
-// per-round-scan engine in this file, kept as the differential-testing
-// reference. Both are bit-for-bit deterministic at any worker count and
-// produce identical outputs and metrics.
+// The synchronous executor is the sharded flat-buffer engine (sharded.go;
+// see DESIGN.md §5), which partitions nodes across a persistent worker
+// pool and double-buffers rounds through per-edge delivery slots. It is
+// bit-for-bit deterministic at any worker count. Options.Async runs the
+// same protocols on the asynchronous executor instead (async.go), with
+// identical outputs.
 //
 // Multi-phase protocols advance phases when the network is quiescent (no
 // frame queued anywhere); see DESIGN.md §2 for why this synchronizer
@@ -38,33 +37,11 @@ import (
 	"math/bits"
 	"math/rand" //nclint:allow determinism -- all draws go through Context.Rand, seeded from the counterSource bank
 	"runtime"
-	"sort"
-	"sync"
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/flight"
 	"nearclique/internal/graph"
 )
-
-// Engine selects the executor implementation. Both satisfy the identical
-// CONGEST semantics and produce bit-identical outputs and metrics; the
-// legacy engine exists as the reference for differential testing.
-type Engine uint8
-
-const (
-	// EngineSharded is the default: the flat-buffer sharded round engine.
-	EngineSharded Engine = iota
-	// EngineLegacy is the original per-directed-edge FIFO queue engine
-	// with per-round inbox scans.
-	EngineLegacy
-)
-
-func (e Engine) String() string {
-	if e == EngineLegacy {
-		return "legacy"
-	}
-	return "sharded"
-}
 
 // NodeID is a dense node index in [0, n).
 type NodeID int32
@@ -105,9 +82,6 @@ type Options struct {
 	MaxRounds int
 	// Parallelism bounds worker goroutines per round; 0 means GOMAXPROCS.
 	Parallelism int
-	// Engine selects the executor (default EngineSharded). Ignored when
-	// Async is set: the asynchronous executor is its own engine.
-	Engine Engine
 	// Async runs phases on the asynchronous executor with Awerbuch's
 	// α-synchronizer instead of the synchronous round loop (see async.go).
 	// Protocol outputs are identical; the synchronizer overhead appears in
@@ -167,30 +141,19 @@ type Network struct {
 	// csr is the graph's shared CSR view: the engines index their flat
 	// send/receive buffers with it directly — no private copies or aliases
 	// of the offsets/targets arena are kept anywhere in this package.
-	csr      *graph.CSR
-	queues   []fifo  // one per directed edge, CSR-indexed
-	edgeFrom []int32 // directed edge -> sender (legacy sync engine only)
+	csr        *graph.CSR
+	queues     []fifo // one per directed edge, CSR-indexed
+	activeFlag []bool // sharded: directed edge is on its shard's active list
 
-	activeEdges []int32 // legacy: directed-edge indices with non-empty queues
-	activeFlag  []bool
-
-	inbox        [][]delivery // legacy: per destination, reused across rounds
-	touched      []int32
-	touchedFlag  []bool // legacy: per-destination dedupe bit for the round's inbox
 	frameBits    int
 	metrics      Metrics
 	currentPhase *PhaseMetrics
 	workers      int
 	async        *asyncEngine   // non-nil when Options.Async is set
-	sharded      *shardedEngine // non-nil when the sharded engine drives
+	sharded      *shardedEngine // non-nil otherwise
 
 	flight      *flight.Recorder // optional round/phase event sink
 	flightPhase int32            // current phase's BeginPhase ordinal
-}
-
-type delivery struct {
-	from NodeID
-	msg  Message
 }
 
 // fifo is a per-directed-edge frame queue. The front frame lives in an
@@ -277,20 +240,8 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 	net.flight = opts.Flight
 	total := csr.NumEdges()
 	net.queues = make([]fifo, total)
-	net.activeFlag = make([]bool, total)
-	switch {
-	case opts.Async:
-		// The asynchronous executor pops the queues itself; no sync engine.
-	case opts.Engine == EngineLegacy:
-		net.inbox = make([][]delivery, n)
-		net.touchedFlag = make([]bool, n)
-		net.edgeFrom = make([]int32, total)
-		for v := 0; v < n; v++ {
-			for e := csr.Offsets[v]; e < csr.Offsets[v+1]; e++ {
-				net.edgeFrom[e] = int32(v)
-			}
-		}
-	default:
+	if !opts.Async {
+		net.activeFlag = make([]bool, total)
 		net.sharded = newShardedEngine(net)
 	}
 	for v := 0; v < n; v++ {
@@ -428,15 +379,10 @@ type Context struct {
 	net *Network
 	idx NodeID
 	rng *rand.Rand
-	// shard is the owning shard under the sharded engine (nil otherwise);
+	// shard is the owning shard under the sharded engine (nil under async);
 	// Send records edge activations directly on it, which is race-free
 	// because a node's callbacks only ever run on its shard's worker.
 	shard *shard
-	// pendingActivations buffers directed edges whose queues became
-	// non-empty during this node's processing slice of the round (legacy
-	// and async engines); merged serially after the parallel section so
-	// workers never share state.
-	pendingActivations []int32
 	// sends counts every frame ever enqueued by this node (the async
 	// executor charges its outstanding-work ledger from it).
 	sends int
@@ -497,20 +443,17 @@ func (c *Context) Send(to NodeID, msg Message) {
 }
 
 // enqueue pushes a validated frame onto a directed-edge queue and records
-// the empty→non-empty activation with the owning engine.
+// the empty→non-empty activation with the owning shard. The asynchronous
+// executor (no shard) schedules deliveries from the send count instead.
 func (c *Context) enqueue(edge int, msg Message) {
 	net := c.net
 	q := &net.queues[edge]
 	wasEmpty := q.empty()
 	q.push(msg)
 	c.sends++
-	if wasEmpty && !net.activeFlag[edge] {
+	if c.shard != nil && wasEmpty && !net.activeFlag[edge] {
 		net.activeFlag[edge] = true
-		if c.shard != nil {
-			c.shard.activeEdges = append(c.shard.activeEdges, int32(edge))
-		} else {
-			c.pendingActivations = append(c.pendingActivations, int32(edge))
-		}
+		c.shard.activeEdges = append(c.shard.activeEdges, int32(edge))
 	}
 }
 
@@ -569,34 +512,7 @@ func (net *Network) runPhaseDispatch(ctx context.Context, name string) error {
 	if net.async != nil {
 		return net.async.runPhase(ctx, name)
 	}
-	if net.sharded != nil {
-		return net.sharded.runPhase(ctx, name)
-	}
-	return net.runPhaseLegacy(ctx, name)
-}
-
-// runPhaseLegacy is the reference per-round-scan executor's phase loop.
-func (net *Network) runPhaseLegacy(ctx context.Context, name string) error {
-	net.metrics.Phases = append(net.metrics.Phases, PhaseMetrics{Name: name})
-	net.currentPhase = &net.metrics.Phases[len(net.metrics.Phases)-1]
-
-	// Phase start: every node may initiate sends.
-	net.parallelNodes(len(net.ctxs), func(v int) {
-		net.procs[v].PhaseStart(net.ctxs[v])
-	})
-	net.mergeActivations(net.ctxs)
-
-	for len(net.activeEdges) > 0 {
-		if err := ctx.Err(); err != nil {
-			return phaseInterrupted(name, net.metrics.Rounds, err)
-		}
-		if net.opts.MaxRounds > 0 && net.metrics.Rounds >= net.opts.MaxRounds {
-			return fmt.Errorf("%w: %d rounds (phase %s)", ErrRoundLimit, net.metrics.Rounds, name)
-		}
-		net.stepRound()
-	}
-	net.currentPhase = nil
-	return nil
+	return net.sharded.runPhase(ctx, name)
 }
 
 // recordRound emits one KindRound flight event for the round that just
@@ -627,114 +543,6 @@ func clampInt32(x int) int32 {
 // phaseInterrupted wraps a context error observed at a round boundary.
 func phaseInterrupted(name string, rounds int, err error) error {
 	return fmt.Errorf("congest: phase %s interrupted after %d rounds: %w", name, rounds, err)
-}
-
-// stepRound delivers one frame per active directed edge, then lets every
-// touched node process its inbox concurrently.
-func (net *Network) stepRound() {
-	net.metrics.Rounds++
-	net.currentPhase.Rounds++
-
-	edges := net.activeEdges
-	net.activeEdges = net.activeEdges[:0]
-	net.touched = net.touched[:0]
-
-	frames, bitsTotal := 0, 0
-	for _, e := range edges {
-		q := &net.queues[e]
-		msg := q.pop()
-		if !q.empty() {
-			net.activeEdges = append(net.activeEdges, e)
-		} else {
-			net.activeFlag[e] = false
-		}
-		from, to := int(net.edgeFrom[e]), int(net.csr.Targets[e])
-		if !net.touchedFlag[to] {
-			net.touchedFlag[to] = true
-			net.touched = append(net.touched, int32(to))
-		}
-		net.inbox[to] = append(net.inbox[to], delivery{from: NodeID(from), msg: msg})
-		frames++
-		b := msg.BitLen()
-		bitsTotal += b
-		if b > net.metrics.MaxFrameBits {
-			net.metrics.MaxFrameBits = b
-		}
-	}
-	net.metrics.Frames += frames
-	net.metrics.Bits += bitsTotal
-	net.currentPhase.Frames += frames
-	net.currentPhase.Bits += bitsTotal
-	net.recordRound(len(edges), frames, bitsTotal)
-
-	touched := net.touched
-	net.parallelNodes(len(touched), func(i int) {
-		v := int(touched[i])
-		box := net.inbox[v]
-		sort.Slice(box, func(a, b int) bool { return box[a].from < box[b].from })
-		ctx := net.ctxs[v]
-		proc := net.procs[v]
-		for _, d := range box {
-			proc.Recv(ctx, d.from, d.msg)
-		}
-		net.inbox[v] = box[:0]
-		net.touchedFlag[v] = false
-	})
-	// Merge newly activated edges from the touched nodes' contexts.
-	for _, v := range touched {
-		net.mergeOne(net.ctxs[v])
-	}
-}
-
-func (net *Network) mergeActivations(ctxs []*Context) {
-	for _, ctx := range ctxs {
-		net.mergeOne(ctx)
-	}
-}
-
-func (net *Network) mergeOne(ctx *Context) {
-	if len(ctx.pendingActivations) > 0 {
-		net.activeEdges = append(net.activeEdges, ctx.pendingActivations...)
-		ctx.pendingActivations = ctx.pendingActivations[:0]
-	}
-}
-
-// parallelNodes runs fn(i) for i in [0, n) across the worker pool; inline
-// when small to avoid goroutine overhead in tiny rounds.
-func (net *Network) parallelNodes(n int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	workers := net.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 64 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // splitSeed derives independent per-node seeds (splitmix64 finalizer).

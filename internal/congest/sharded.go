@@ -47,8 +47,7 @@ import (
 // are addressed by edge index, per-node delivery order is fixed by CSR
 // order, metrics are sums or maxima, and per-node randomness is a counter
 // stream (rng.go). Outputs are therefore bit-identical at any worker
-// count, and identical to the legacy engine's (EngineLegacy), which is
-// kept as the differential-testing reference.
+// count.
 
 // pair carries one frame to its receiver's shard during a sparse round:
 // re is the in-edge index in the receiver's CSR range.
@@ -141,9 +140,9 @@ func (e *shardedEngine) totalActive() int {
 	return total
 }
 
-// runPhase mirrors the legacy RunPhase contract exactly: PhaseStart on
-// every node, then rounds until no frame is queued anywhere, with the same
-// round/frame/bit accounting and the same ErrRoundLimit condition.
+// runPhase executes one phase: PhaseStart on every node, then rounds
+// until no frame is queued anywhere, returning ErrRoundLimit once
+// Options.MaxRounds rounds have run.
 func (e *shardedEngine) runPhase(ctx context.Context, name string) error {
 	net := e.net
 	net.metrics.Phases = append(net.metrics.Phases, PhaseMetrics{Name: name})

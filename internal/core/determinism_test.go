@@ -9,15 +9,14 @@ import (
 	"strings"
 	"testing"
 
-	"nearclique/internal/congest"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
 )
 
 // Full-protocol determinism: Find must produce byte-identical results —
 // labels, candidates, sample sizes, and the complete phase transcript —
-// across engines, worker counts, GOMAXPROCS settings, and the
-// asynchronous executor, and all of them must agree with the sequential
+// across worker counts, GOMAXPROCS settings, and the synchronous and
+// asynchronous executors, and all of them must agree with the sequential
 // reference.
 
 // resultTranscript canonicalizes a Result. includeMetrics=false drops the
@@ -58,22 +57,19 @@ func TestFindTranscriptAcrossEnginesAndWorkers(t *testing.T) {
 		var want string
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
-			for _, engine := range []congest.Engine{congest.EngineSharded, congest.EngineLegacy} {
-				for _, par := range []int{1, 4} {
-					opts := base
-					opts.Engine = engine
-					opts.Parallelism = par
-					res, err := Find(g, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := resultTranscript(res, true)
-					if want == "" {
-						want = got
-					} else if got != want {
-						t.Fatalf("%s: transcript diverged at GOMAXPROCS=%d engine=%v par=%d",
-							name, procs, engine, par)
-					}
+			for _, par := range []int{1, 4} {
+				opts := base
+				opts.Parallelism = par
+				res, err := Find(g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := resultTranscript(res, true)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("%s: transcript diverged at GOMAXPROCS=%d par=%d",
+						name, procs, par)
 				}
 			}
 		}
@@ -87,15 +83,15 @@ func TestFindMatchesSequentialOnBothEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, engine := range []congest.Engine{congest.EngineSharded, congest.EngineLegacy} {
+		for _, async := range []bool{false, true} {
 			opts := base
-			opts.Engine = engine
+			opts.Async = async
 			dist, err := Find(g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if a, b := resultTranscript(dist, false), resultTranscript(seq, false); a != b {
-				t.Fatalf("%s engine=%v: distributed vs sequential:\n%s\nvs\n%s", name, engine, a, b)
+				t.Fatalf("%s async=%v: distributed vs sequential:\n%s\nvs\n%s", name, async, a, b)
 			}
 		}
 	}
@@ -127,15 +123,15 @@ func TestFindAsyncMatchesSyncOnShardedEngine(t *testing.T) {
 // cancellation contract: canceling between phases (via the Progress hook,
 // which fires deterministically) returns a wrapped context.Canceled with
 // all-⊥ labels and valid partial metrics, and the partial metric
-// transcript is bit-identical across repeated runs and across engines.
+// transcript is bit-identical across repeated runs and worker counts.
 func TestFindContextCancelDeterministicPartialMetrics(t *testing.T) {
 	const cancelAfterStep = 5
 	g := gen.PlantedNearClique(400, 120, 0.01, 0.02, 5).Graph
-	run := func(engine congest.Engine) (string, *Result, error) {
+	run := func(par int) (string, *Result, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		res, err := FindContext(ctx, g, Options{
-			Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 2, Engine: engine,
+			Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 2, Parallelism: par,
 			Progress: func(p Progress) {
 				if p.Step == cancelAfterStep {
 					cancel()
@@ -145,27 +141,27 @@ func TestFindContextCancelDeterministicPartialMetrics(t *testing.T) {
 		return resultTranscript(res, true), res, err
 	}
 	var want string
-	for _, engine := range []congest.Engine{congest.EngineSharded, congest.EngineLegacy} {
-		a, res, errA := run(engine)
-		b, _, errB := run(engine)
+	for _, par := range []int{1, 4} {
+		a, res, errA := run(par)
+		b, _, errB := run(par)
 		if !errors.Is(errA, context.Canceled) || !errors.Is(errB, context.Canceled) {
-			t.Fatalf("engine %v: want wrapped context.Canceled, got %v / %v", engine, errA, errB)
+			t.Fatalf("Parallelism %d: want wrapped context.Canceled, got %v / %v", par, errA, errB)
 		}
 		for i, l := range res.Labels {
 			if l != NoLabel {
-				t.Fatalf("engine %v: node %d labeled %d in an aborted run", engine, i, l)
+				t.Fatalf("Parallelism %d: node %d labeled %d in an aborted run", par, i, l)
 			}
 		}
 		if len(res.Metrics.Phases) == 0 || res.Metrics.Rounds == 0 {
-			t.Fatalf("engine %v: canceled run carries no partial metrics", engine)
+			t.Fatalf("Parallelism %d: canceled run carries no partial metrics", par)
 		}
 		if a != b {
-			t.Fatalf("engine %v: repeated canceled runs differ:\n%s\nvs\n%s", engine, a, b)
+			t.Fatalf("Parallelism %d: repeated canceled runs differ:\n%s\nvs\n%s", par, a, b)
 		}
 		if want == "" {
 			want = a
 		} else if a != want {
-			t.Fatalf("canceled partial transcripts differ across engines:\n%s\nvs\n%s", a, want)
+			t.Fatalf("canceled partial transcripts differ across worker counts:\n%s\nvs\n%s", a, want)
 		}
 	}
 }

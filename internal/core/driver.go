@@ -61,7 +61,6 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, er
 		FrameBits:     frameBits,
 		MaxRounds:     opts.MaxRounds,
 		Parallelism:   opts.Parallelism,
-		Engine:        opts.Engine,
 		Async:         opts.Async,
 		AsyncMaxDelay: opts.AsyncMaxDelay,
 		Flight:        opts.Flight,

@@ -75,10 +75,6 @@ type Options struct {
 	// and the centralized replay's; 0 means GOMAXPROCS. Outputs are
 	// identical at any setting.
 	Parallelism int
-	// Engine selects the simulator executor (default: the sharded
-	// flat-buffer engine; congest.EngineLegacy is the reference engine).
-	// Outputs are bit-identical either way; only speed differs.
-	Engine congest.Engine
 	// Async runs the protocol on the asynchronous executor with an
 	// α-synchronizer instead of the synchronous round loop (the paper's §2
 	// remark via Awerbuch's synchronizer). Outputs are identical; the

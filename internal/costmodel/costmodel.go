@@ -55,9 +55,9 @@ const minSamples = 8
 // them are known before the solve runs: graph size from the registry
 // snapshot, the rest from canonicalized request parameters.
 type Features struct {
-	// Engine is the canonical engine name ("seq", "sharded", "legacy",
-	// "async"); "auto" is not a Features engine — resolve it first (the
-	// server uses PickEngine).
+	// Engine is the canonical engine name ("seq", "sharded", "async");
+	// "auto" is not a Features engine — resolve it first (the server uses
+	// PickEngine).
 	Engine string
 	// N and M are the graph's node and undirected edge counts.
 	N, M int

@@ -98,8 +98,8 @@ func TestPickEngine(t *testing.T) {
 		t.Fatalf("PickEngine = %q, want seq", got)
 	}
 	// A candidate with too few samples is skipped, not preferred.
-	m.Observe(feat("legacy", 1000, 4000, 1), 40, 1<<16, 1)
-	if got := m.PickEngine(f, []string{"legacy", "seq"}); got != "seq" {
+	m.Observe(feat("async", 1000, 4000, 1), 40, 1<<16, 1)
+	if got := m.PickEngine(f, []string{"async", "seq"}); got != "seq" {
 		t.Fatalf("PickEngine with under-sampled cheap engine = %q, want seq", got)
 	}
 }

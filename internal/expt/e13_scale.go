@@ -3,59 +3,51 @@ package expt
 import (
 	"time"
 
-	"nearclique/internal/congest"
 	"nearclique/internal/core"
 	"nearclique/internal/stats"
 )
 
-// RunE13 measures the simulator itself: the sharded flat-buffer engine
-// against the legacy per-edge-queue engine on full DistNearClique runs as
-// n grows into the million-node regime the paper's O(1)-round claim is
-// about. Graphs are sparse planted near-cliques built through the O(n+m)
-// generators; the workload grid is shared with cmd/bench (scale.go). The
-// quick configuration stays small for CI; the full run includes n = 10⁶,
-// which only the sharded engine is expected to handle comfortably.
+// RunE13 measures the simulator itself: full DistNearClique runs on the
+// sharded flat-buffer engine as n grows into the million-node regime the
+// paper's O(1)-round claim is about. Graphs are sparse planted
+// near-cliques built through the O(n+m) generators; the workload grid is
+// shared with cmd/bench (scale.go). The quick configuration stays small
+// for CI; the full run includes n = 10⁶.
 func RunE13(cfg Config) []Table {
 	t := &Table{
 		ID:    "E13",
-		Title: "Engine scaling: sharded flat-buffer vs legacy engine on sparse planted instances",
-		Note: "The round/frame/bit columns must be identical across engines (bit-identical " +
-			"executions); only wall time may differ. Build is graph construction, run is Find.",
-		Header: []string{"n", "m", "engine", "rounds", "frames", "build ms", "run ms", "recovered"},
+		Title: "Engine scaling: sharded flat-buffer engine on sparse planted instances",
+		Note: "The rounds/frames/recovered columns are bit-identical at any worker count and " +
+			"GOMAXPROCS; only wall time varies. Build is graph construction, run is Find.",
+		Header: []string{"n", "m", "rounds", "frames", "build ms", "run ms", "recovered"},
 	}
 	for _, pt := range ScalePoints(cfg.Quick) {
 		seed := stats.TrialSeed(cfg.Seed+1313, pt.N)
 		buildStart := time.Now()
 		inst := ScaleInstance(pt, seed)
-		// Building the CSR once here keeps the engine timings comparable.
+		// Building the CSR here keeps it out of the run timing.
 		inst.Graph.CSR()
 		buildMS := time.Since(buildStart).Milliseconds()
 
-		engines := []congest.Engine{congest.EngineSharded}
-		if pt.Legacy {
-			engines = append(engines, congest.EngineLegacy)
-		}
-		for _, engine := range engines {
-			runStart := time.Now()
-			res, err := core.Find(inst.Graph, ScaleOptions(pt, seed+1, engine))
-			runMS := time.Since(runStart).Milliseconds()
-			if err != nil {
-				t.Rows = append(t.Rows, []string{
-					f("%d", pt.N), f("%d", inst.Graph.M()), engine.String(),
-					"-", "-", f("%d", buildMS), f("%d", runMS), "error: " + err.Error(),
-				})
-				continue
-			}
-			recovered := "none"
-			if best := res.Best(); best != nil {
-				recovered = pct(RecoveredCount(inst.D, best.Members), len(inst.D))
-			}
+		runStart := time.Now()
+		res, err := core.Find(inst.Graph, ScaleOptions(pt, seed+1))
+		runMS := time.Since(runStart).Milliseconds()
+		if err != nil {
 			t.Rows = append(t.Rows, []string{
-				f("%d", pt.N), f("%d", inst.Graph.M()), engine.String(),
-				f("%d", res.Metrics.Rounds), f("%d", res.Metrics.Frames),
-				f("%d", buildMS), f("%d", runMS), recovered,
+				f("%d", pt.N), f("%d", inst.Graph.M()),
+				"-", "-", f("%d", buildMS), f("%d", runMS), "error: " + err.Error(),
 			})
+			continue
 		}
+		recovered := "none"
+		if best := res.Best(); best != nil {
+			recovered = pct(RecoveredCount(inst.D, best.Members), len(inst.D))
+		}
+		t.Rows = append(t.Rows, []string{
+			f("%d", pt.N), f("%d", inst.Graph.M()),
+			f("%d", res.Metrics.Rounds), f("%d", res.Metrics.Frames),
+			f("%d", buildMS), f("%d", runMS), recovered,
+		})
 	}
 	return []Table{*t}
 }

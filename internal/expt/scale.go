@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"nearclique/internal/congest"
 	"nearclique/internal/core"
 	"nearclique/internal/gen"
 )
@@ -18,23 +17,21 @@ const ScaleEps = 0.25
 type ScalePoint struct {
 	N, Size int
 	AvgDeg  float64
-	Legacy  bool // also measure the legacy engine at this size
 }
 
 // ScalePoints returns the grid: quick stays CI-sized, the full grid ends
-// at a million nodes (sharded engine only — the legacy engine is not
-// expected to be pleasant there).
+// at a million nodes.
 func ScalePoints(quick bool) []ScalePoint {
 	if quick {
 		return []ScalePoint{
-			{N: 5_000, Size: 300, AvgDeg: 10, Legacy: true},
-			{N: 20_000, Size: 500, AvgDeg: 10, Legacy: false},
+			{N: 5_000, Size: 300, AvgDeg: 10},
+			{N: 20_000, Size: 500, AvgDeg: 10},
 		}
 	}
 	return []ScalePoint{
-		{N: 10_000, Size: 400, AvgDeg: 12, Legacy: true},
-		{N: 100_000, Size: 1000, AvgDeg: 12, Legacy: true},
-		{N: 1_000_000, Size: 2000, AvgDeg: 10, Legacy: false},
+		{N: 10_000, Size: 400, AvgDeg: 12},
+		{N: 100_000, Size: 1000, AvgDeg: 12},
+		{N: 1_000_000, Size: 2000, AvgDeg: 10},
 	}
 }
 
@@ -48,13 +45,12 @@ func ScaleInstance(pt ScalePoint, seed int64) gen.Planted {
 // set is sublinear (δ = Size/N shrinks with N), so the expected sample
 // scales as N/Size to hit it with ~4 nodes — the Corollary 2.3 regime
 // rather than the constant-δ one.
-func ScaleOptions(pt ScalePoint, seed int64, engine congest.Engine) core.Options {
+func ScaleOptions(pt ScalePoint, seed int64) core.Options {
 	return core.Options{
 		Epsilon:        ScaleEps,
 		ExpectedSample: 4 * float64(pt.N) / float64(pt.Size),
 		Seed:           seed,
 		MinSize:        pt.Size / 4,
-		Engine:         engine,
 	}
 }
 

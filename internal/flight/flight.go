@@ -44,7 +44,7 @@ import (
 type Kind uint8
 
 const (
-	// KindRound is one simulated communication round (sharded/legacy: a
+	// KindRound is one simulated communication round (sharded: a
 	// synchronous round; async: one increment of the maximum node round).
 	KindRound Kind = iota + 1
 	// KindPhase summarizes one completed protocol phase, including the

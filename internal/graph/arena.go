@@ -101,13 +101,3 @@ func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// MustFromArena is FromArena for arenas the caller has already validated
-// (e.g. produced by this package's builders); it panics on error.
-func MustFromArena(offsets []int64, targets []int32) *Graph {
-	g, err := FromArena(offsets, targets)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}

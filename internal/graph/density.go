@@ -72,17 +72,3 @@ func (g *Graph) T(x *bitset.Set, eps float64) *bitset.Set {
 	outer.Intersect(inner)
 	return outer
 }
-
-// KRestricted returns K_ε(X) ∩ allowed, computing membership only for nodes
-// in allowed. This mirrors the distributed protocol, where only nodes of
-// Si ∪ Γ(Si) can report membership.
-func (g *Graph) KRestricted(x *bitset.Set, eps float64, allowed *bitset.Set) *bitset.Set {
-	out := bitset.New(g.N())
-	threshold := (1 - eps) * float64(x.Count())
-	allowed.ForEach(func(v int) {
-		if float64(g.DegreeIn(v, x)) >= threshold-1e-9 {
-			out.Add(v)
-		}
-	})
-	return out
-}

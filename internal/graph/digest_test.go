@@ -14,7 +14,10 @@ func TestDigestCanonicalAcrossBuildPaths(t *testing.T) {
 	dense := FromEdges(5, edges)
 	sparse := FromEdgeList(5, edges)
 	offsets, targets := dense.Arena()
-	arena := MustFromArena(append([]int64(nil), offsets...), append([]int32(nil), targets...))
+	arena, err := FromArena(append([]int64(nil), offsets...), append([]int32(nil), targets...))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	d := dense.Digest()
 	if !strings.HasPrefix(d, "ncsr1-") || !strings.HasSuffix(d, "-5-5") {

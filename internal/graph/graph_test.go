@@ -258,28 +258,6 @@ func TestTOperatorOnClique(t *testing.T) {
 	}
 }
 
-func TestKRestrictedMatchesKOnAllowed(t *testing.T) {
-	g := randomGraph(50, 0.3, 9)
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 20; trial++ {
-		x := bitset.New(50)
-		for i := 0; i < 5; i++ {
-			x.Add(rng.Intn(50))
-		}
-		allowed := bitset.New(50)
-		for i := 0; i < 30; i++ {
-			allowed.Add(rng.Intn(50))
-		}
-		eps := rng.Float64() * 0.5
-		full := g.K(x, eps)
-		full.Intersect(allowed)
-		restricted := g.KRestricted(x, eps, allowed)
-		if !full.Equal(restricted) {
-			t.Fatalf("KRestricted mismatch: %v vs %v", full.Indices(), restricted.Indices())
-		}
-	}
-}
-
 // Property (paper key observation, §4): if D is a clique then D ⊆ K(D)
 // fails only via self-adjacency — but T_ε(X) of a clique sample is a clique
 // for ε small. We verify the weaker documented invariant here: T ⊆ K.

@@ -242,13 +242,12 @@ type Measurement struct {
 	N           int    `json:"n"`
 	M           int    `json:"m"`
 	Cost
-	HeapBytes     uint64  `json:"heap_bytes"`
-	RoundsPerSec  float64 `json:"rounds_per_sec"`
-	MBytesPerSec  float64 `json:"payload_mb_per_sec"`
-	Allocs        uint64  `json:"allocs"`
-	AllocsPerRnd  float64 `json:"allocs_per_round"`
-	RecoveredPct  float64 `json:"recovered_pct,omitempty"`
-	SpeedupLegacy float64 `json:"speedup_vs_legacy,omitempty"`
+	HeapBytes    uint64  `json:"heap_bytes"`
+	RoundsPerSec float64 `json:"rounds_per_sec"`
+	MBytesPerSec float64 `json:"payload_mb_per_sec"`
+	Allocs       uint64  `json:"allocs"`
+	AllocsPerRnd float64 `json:"allocs_per_round"`
+	RecoveredPct float64 `json:"recovered_pct,omitempty"`
 	// Batched ε-Search throughput (cmd/bench -search-batch rows only):
 	// Searches full bisections over independent coin seeds, Probes the
 	// total probe runs they issued, with throughput and the cached

@@ -277,21 +277,21 @@ func TestAdmitterBoundsAndDrain(t *testing.T) {
 		started <- struct{}{}
 		<-release
 	}
-	if err := a.submit(job); err != nil {
+	if err := a.submit(job, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // running
 	for i := 0; i < 2; i++ {
-		if err := a.submit(job); err != nil {
+		if err := a.submit(job, func() {}); err != nil {
 			t.Fatalf("queued submit %d: %v", i, err)
 		}
 	}
-	if err := a.submit(job); !errors.Is(err, errQueueFull) {
+	if err := a.submit(job, func() {}); !errors.Is(err, errQueueFull) {
 		t.Fatalf("over-capacity submit: %v, want errQueueFull", err)
 	}
 	close(release)
 	a.drain()
-	if err := a.submit(func() {}); !errors.Is(err, errDraining) {
+	if err := a.submit(func() {}, func() {}); !errors.Is(err, errDraining) {
 		t.Fatalf("post-drain submit: %v, want errDraining", err)
 	}
 	if acc, rej := a.accepted.Load(), a.rejected.Load(); acc != 3 || rej != 1 {

@@ -36,12 +36,12 @@ func TestRetryAfterScalesWithQueueDepth(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	if err := a.submit(func() { close(started); <-release }); err != nil {
+	if err := a.submit(func() { close(started); <-release }, func() {}); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker held; the queue is now genuinely waiting depth
 	for i := 0; i < 6; i++ {
-		if err := a.submit(func() {}); err != nil {
+		if err := a.submit(func() {}, func() {}); err != nil {
 			t.Fatalf("queue slot %d: %v", i, err)
 		}
 	}

@@ -383,14 +383,16 @@ func (s *Server) admitRun(ctx context.Context, timeout time.Duration, tr *obs.Tr
 		s.admit.endBypass(time.Since(start))
 		return out, nil
 	}
-	done := make(chan outcome, 1)
+	var out outcome
+	done := make(chan struct{})
 	if err := s.admit.submit(func() {
 		s.observeWait(tr, submitted)
-		done <- run(ctx)
-	}); err != nil {
+		out = run(ctx)
+	}, func() { close(done) }); err != nil {
 		return outcome{}, err
 	}
-	return <-done, nil
+	<-done
+	return out, nil
 }
 
 // admitAndSolve is admitRun specialized to the solve path.
@@ -643,7 +645,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	admitted := time.Now()
 	done := make(chan struct{})
 	if err := s.admit.submit(func() {
-		defer close(done)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		if batchTraceID != "" {
 			w.Header().Set("X-Nearclique-Trace-Id", batchTraceID)
@@ -689,7 +690,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return // stall budget exhausted; abandon the stream
 			}
 		}
-	}); err != nil {
+	}, func() { close(done) }); err != nil {
 		s.writeAdmissionError(w, err)
 		return
 	}

@@ -45,7 +45,7 @@ const maxRetryAfterSec = 300
 // tryBypass and nothing else counts.
 type admitter struct {
 	mu       sync.RWMutex // guards draining vs. close(jobs) and bypass entry
-	jobs     chan func()
+	jobs     chan job
 	draining bool
 	wg       sync.WaitGroup
 
@@ -84,7 +84,7 @@ func newAdmitter(concurrency, depth int, exec *obs.Histogram) *admitter {
 		concurrency = 1
 	}
 	a := &admitter{
-		jobs:    make(chan func(), depth),
+		jobs:    make(chan job, depth),
 		depth:   depth,
 		workers: concurrency,
 		exec:    exec,
@@ -94,17 +94,25 @@ func newAdmitter(concurrency, depth int, exec *obs.Histogram) *admitter {
 		a.wg.Add(1)
 		go func() {
 			defer a.wg.Done()
-			for fn := range a.jobs {
+			for j := range a.jobs {
 				a.inFlight.Add(1)
 				start := time.Now()
-				runJob(fn)
+				runJob(j.run)
 				a.exec.Observe(time.Since(start))
 				a.inFlight.Add(-1)
+				j.release()
 			}
 		}()
 	}
 	return a
 }
+
+// job is one pool submission. run is the work; release wakes whoever
+// waits for it and runs after the worker has ledgered run's wall time,
+// so a client answered through release never reads a /statz or
+// /metricsz that is missing its own job. release runs even if run
+// panics.
+type job struct{ run, release func() }
 
 // runJob is the pool's last-resort panic barrier: jobs produce their own
 // error responses on panic (see safeSolve), but if one ever escapes, a
@@ -115,11 +123,12 @@ func runJob(fn func()) {
 	fn()
 }
 
-// submit enqueues fn for execution on a worker, without blocking: a full
-// queue returns errQueueFull, a draining admitter errDraining. The read
-// lock makes the draining check and the send atomic with respect to
-// drain's close(jobs), so a submit can never race the channel close.
-func (a *admitter) submit(fn func()) error {
+// submit enqueues run for execution on a worker, followed by release
+// (see job), without blocking: a full queue returns errQueueFull, a
+// draining admitter errDraining. The read lock makes the draining check
+// and the send atomic with respect to drain's close(jobs), so a submit
+// can never race the channel close.
+func (a *admitter) submit(run, release func()) error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	a.received.Add(1)
@@ -128,7 +137,7 @@ func (a *admitter) submit(fn func()) error {
 		return errDraining
 	}
 	select {
-	case a.jobs <- fn:
+	case a.jobs <- job{run: run, release: release}:
 		a.accepted.Add(1)
 		return nil
 	default:

@@ -334,31 +334,38 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 }
 
-// TestFrontierSpellingSharesSeqCacheEntry: "frontier" is an old spelling
-// of the centralized replay, so it canonicalizes to "seq" — one cache
-// entry, one body, naming the engine that ran.
+// TestFrontierSpellingSharesSeqCacheEntry: old engine spellings
+// canonicalize to the engine that runs them — "frontier" to "seq" and
+// "legacy" to "sharded" — so each shares one cache entry and one body
+// with its canonical spelling, naming the canonical engine.
 func TestFrontierSpellingSharesSeqCacheEntry(t *testing.T) {
 	path := writeTestSnapshot(t)
-	s := New(Config{Concurrency: 1, CacheBytes: 1 << 20})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if _, err := s.LoadGraph("g", path); err != nil {
-		t.Fatal(err)
-	}
-	s1, b1, c1 := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"frontier","seed":4}`)
-	s2, b2, c2 := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"seq","seed":4}`)
-	if s1 != http.StatusOK || s2 != http.StatusOK {
-		t.Fatalf("status %d/%d: %s / %s", s1, s2, b1, b2)
-	}
-	if c1 != "miss" || c2 != "hit" {
-		t.Fatalf("cache %q then %q, want miss then hit", c1, c2)
-	}
-	if st := s.cache.stats(); st.Entries != 1 {
-		t.Fatalf("%d cache entries, want 1", st.Entries)
-	}
-	if !bytes.Equal(b1, b2) || !bytes.Contains(b1, []byte(`"engine":"seq"`)) {
-		t.Fatalf("bodies differ or do not name seq:\n%s\n%s", b1, b2)
+	for _, tc := range []struct{ alias, canonical string }{
+		{"frontier", "seq"},
+		{"legacy", "sharded"},
+	} {
+		s := New(Config{Concurrency: 1, CacheBytes: 1 << 20})
+		ts := httptest.NewServer(s.Handler())
+		if _, err := s.LoadGraph("g", path); err != nil {
+			t.Fatal(err)
+		}
+		s1, b1, c1 := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"`+tc.alias+`","seed":4}`)
+		s2, b2, c2 := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"`+tc.canonical+`","seed":4}`)
+		entries := s.cache.stats().Entries
+		ts.Close()
+		s.Close()
+		if s1 != http.StatusOK || s2 != http.StatusOK {
+			t.Fatalf("%s: status %d/%d: %s / %s", tc.alias, s1, s2, b1, b2)
+		}
+		if c1 != "miss" || c2 != "hit" {
+			t.Fatalf("%s: cache %q then %q, want miss then hit", tc.alias, c1, c2)
+		}
+		if entries != 1 {
+			t.Fatalf("%s: %d cache entries, want 1", tc.alias, entries)
+		}
+		if !bytes.Equal(b1, b2) || !bytes.Contains(b1, []byte(`"engine":"`+tc.canonical+`"`)) {
+			t.Fatalf("%s: bodies differ or do not name %s:\n%s\n%s", tc.alias, tc.canonical, b1, b2)
+		}
 	}
 }
 

@@ -31,9 +31,8 @@
 //
 // Engines are pluggable (WithEngine): the sequential reference replay
 // (fastest; the EngineAuto default), the sharded flat-buffer CONGEST
-// simulator (full round/frame/bit metrics at million-node scale), the
-// legacy simulator (differential-testing reference), and the
-// asynchronous executor with Awerbuch's α-synchronizer. All engines
+// simulator (full round/frame/bit metrics at million-node scale), and
+// the asynchronous executor with Awerbuch's α-synchronizer. All engines
 // produce bit-identical outputs on the same seed — the determinism suite
 // pins this — so the choice is purely cost vs. metrics.
 //

@@ -53,9 +53,7 @@ func TestSnapshotRoundTripSolveTranscript(t *testing.T) {
 	}
 	defer snap.Close()
 
-	for _, engine := range []nearclique.Engine{
-		nearclique.EngineSequential, nearclique.EngineSharded, nearclique.EngineLegacy,
-	} {
+	for _, engine := range []nearclique.Engine{nearclique.EngineSequential, nearclique.EngineSharded} {
 		s, err := nearclique.New(
 			nearclique.WithEngine(engine),
 			nearclique.WithEpsilon(0.25),

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nearclique/internal/congest"
 	"nearclique/internal/core"
 	"nearclique/internal/flight"
 	"nearclique/internal/refine"
@@ -39,9 +38,6 @@ const (
 	// EngineSharded is the sharded flat-buffer CONGEST simulator
 	// (DESIGN.md §5): full metrics, scales to million-node graphs.
 	EngineSharded
-	// EngineLegacy is the original per-round-scan CONGEST simulator, kept
-	// as the differential-testing reference.
-	EngineLegacy
 	// EngineAsync is the event-driven asynchronous executor with
 	// Awerbuch's α-synchronizer; the synchronizer overhead appears in the
 	// Async* metrics.
@@ -64,8 +60,6 @@ func (e Engine) String() string {
 		return "seq"
 	case EngineSharded:
 		return "sharded"
-	case EngineLegacy:
-		return "legacy"
 	case EngineAsync:
 		return "async"
 	case EngineShadow:
@@ -75,25 +69,24 @@ func (e Engine) String() string {
 }
 
 // ParseEngine maps the flag spellings used by the cmd/ tools ("auto",
-// "seq", "sharded", "legacy", "async", "shadow") to an Engine. The
-// aliases "sequential" and "frontier" map to EngineSequential, so they
-// share its canonical name, cache keys and cost-model curve.
+// "seq", "sharded", "async", "shadow") to an Engine. The aliases
+// "sequential" and "frontier" map to EngineSequential and "legacy" maps
+// to EngineSharded, so each alias shares its engine's canonical name,
+// cache keys and cost-model curve.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "auto":
 		return EngineAuto, nil
 	case "seq", "sequential", "frontier":
 		return EngineSequential, nil
-	case "sharded":
+	case "sharded", "legacy":
 		return EngineSharded, nil
-	case "legacy":
-		return EngineLegacy, nil
 	case "async":
 		return EngineAsync, nil
 	case "shadow":
 		return EngineShadow, nil
 	}
-	return EngineAuto, fmt.Errorf("nearclique: unknown engine %q (want auto|seq|sharded|legacy|async|shadow)", s)
+	return EngineAuto, fmt.Errorf("nearclique: unknown engine %q (want auto|seq|sharded|async|shadow)", s)
 }
 
 // config is the resolved Solver configuration. The embedded core options
@@ -432,14 +425,8 @@ func (s *Solver) solve(ctx context.Context, g *Graph, opts core.Options) (*Resul
 	case EngineAuto, EngineSequential:
 		opts.Async = false
 		res, err = core.FindSequentialContext(ctx, g, opts)
-	case EngineSharded:
-		opts.Engine, opts.Async = congest.EngineSharded, false
-		res, err = core.FindContext(ctx, g, opts)
-	case EngineLegacy:
-		opts.Engine, opts.Async = congest.EngineLegacy, false
-		res, err = core.FindContext(ctx, g, opts)
-	case EngineAsync:
-		opts.Async = true
+	case EngineSharded, EngineAsync:
+		opts.Async = s.cfg.engine == EngineAsync
 		res, err = core.FindContext(ctx, g, opts)
 	case EngineShadow:
 		return nil, errors.New("nearclique: engine=shadow serves Count/Sample, not Solve")
@@ -628,19 +615,12 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 		return 0, nil, errors.New("nearclique: engine=shadow serves Count/Sample, not Search")
 	case EngineAuto, EngineSequential:
 		eps, res, err = core.SearchFrontierContext(ctx, g, so)
-	case EngineSharded, EngineLegacy, EngineAsync:
+	case EngineSharded, EngineAsync:
 		eps, res, err = core.SearchWithRunner(ctx, g, so,
 			func(ctx context.Context, g *Graph, opts core.Options) (*Result, error) {
 				opts.MaxRounds = s.cfg.opts.MaxRounds
 				opts.AsyncMaxDelay = s.cfg.opts.AsyncMaxDelay
-				switch s.cfg.engine {
-				case EngineSharded:
-					opts.Engine, opts.Async = congest.EngineSharded, false
-				case EngineLegacy:
-					opts.Engine, opts.Async = congest.EngineLegacy, false
-				case EngineAsync:
-					opts.Async = true
-				}
+				opts.Async = s.cfg.engine == EngineAsync
 				return core.FindContext(ctx, g, opts)
 			})
 	}

@@ -18,7 +18,7 @@ func TestBatchSplitsParallelism(t *testing.T) {
 		{0, 8, 1},
 		{3, 2, 3},
 	}
-	for _, e := range []Engine{EngineAuto, EngineSequential, EngineSharded, EngineLegacy, EngineAsync} {
+	for _, e := range []Engine{EngineAuto, EngineSequential, EngineSharded, EngineAsync} {
 		for _, c := range cases {
 			s, err := New(WithEngine(e), WithParallelism(c.set))
 			if err != nil {

@@ -53,7 +53,7 @@ func TestNewValidatesEagerly(t *testing.T) {
 func TestParseEngineRoundTrips(t *testing.T) {
 	for _, e := range []nearclique.Engine{
 		nearclique.EngineAuto, nearclique.EngineSequential,
-		nearclique.EngineSharded, nearclique.EngineLegacy, nearclique.EngineAsync,
+		nearclique.EngineSharded, nearclique.EngineAsync,
 	} {
 		got, err := nearclique.ParseEngine(e.String())
 		if err != nil || got != e {
