@@ -36,14 +36,25 @@ func (sc *seqComp) electRoot(ids []int64) {
 	sc.rootIdx, sc.rootID = sc.members[r], ids[r]
 }
 
+// canAnnounce reports whether the component can ever announce a
+// candidate under the size floor minSizeOpt: every T set is a subset of
+// its voters, so one with fewer voters than the floor never does. Only
+// such a component gets K/T tables.
+func (sc *seqComp) canAnnounce(minSizeOpt int) bool {
+	return len(sc.voters) >= max(minSizeOpt, 1)
+}
+
 // finish evaluates the component's K/T tables at ε and derives its
 // announced candidate: the argmax subset and its size, zero when the
-// best subset misses the minimum size.
+// best subset misses the minimum size or the component cannot announce.
 func (sc *seqComp) finish(eps float64, minSizeOpt int, x *ktScratch) {
+	sc.size = 0
+	if !sc.canAnnounce(minSizeOpt) {
+		return
+	}
 	sc.evalKT(eps, x)
 	sc.bStar = argmaxSubset(sc.tcounts)
 	minSize := int32(max(minSizeOpt, 1))
-	sc.size = 0
 	if sc.bStar > 0 && sc.tcounts[sc.bStar] >= minSize {
 		sc.size = sc.tcounts[sc.bStar]
 	}
@@ -62,18 +73,25 @@ type ballot struct {
 }
 
 // newBallot builds the ballot of comps in two passes through the dense
-// voter index x.voterPos that the components' buildKT sized, all-zero on
+// voter index x.voterPos that seqScratch.sizeFor sized, all-zero on
 // entry and on return: the first numbers the distinct voters and counts
 // their components, the second places every component and clears a
-// voter's entry at its last occurrence.
-func newBallot(comps []*seqComp, x *ktScratch) ballot {
+// voter's entry at its last occurrence. A component that cannot
+// announce under the size floor minSizeOpt is left out: it never
+// receives an ack.
+func newBallot(comps []*seqComp, x *ktScratch, minSizeOpt int) ballot {
 	pos := x.voterPos
 	total := 0
 	for _, sc := range comps {
-		total += len(sc.voters)
+		if sc.canAnnounce(minSizeOpt) {
+			total += len(sc.voters)
+		}
 	}
 	off := make([]int32, 1, total+1)
 	for _, sc := range comps {
+		if !sc.canAnnounce(minSizeOpt) {
+			continue
+		}
 		for _, u := range sc.voters {
 			if pos[u] == 0 {
 				off = append(off, 0)
@@ -90,6 +108,9 @@ func newBallot(comps []*seqComp, x *ktScratch) ballot {
 	}
 	cands := make([]int32, total)
 	for ci, sc := range comps {
+		if !sc.canAnnounce(minSizeOpt) {
+			continue
+		}
 		for _, u := range sc.voters {
 			j := pos[u] - 1
 			cands[next[j]] = int32(ci)
@@ -133,11 +154,12 @@ func committed(sc *seqComp, acked int32) bool {
 // decideAndCommit runs the decision stage over the collected components
 // of all versions through their ballot b: every voter acks its best
 // adjacent candidate and aborts the rest; a candidate commits iff no
-// adjacent voter aborted; committed members receive their labels and the
-// candidate list is finalized into res. The acks are counts per
-// component index, so the stage is deterministic regardless of component
-// or voter visit order.
-func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, res *Result, set *bitset.Set) {
+// adjacent voter aborted; committed members receive their labels, each
+// candidate its density (seqComp.density, with x's buffers and set as
+// scratch), and the sorted candidate list is stored in res. The acks
+// are counts per component index, so the stage is deterministic
+// regardless of component or voter visit order.
+func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, res *Result, x *ktScratch, set *bitset.Set) {
 	acked := make([]int32, len(comps))
 	b.count(comps, acked)
 
@@ -159,7 +181,8 @@ func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, 
 			Version: sc.version,
 			Members: membersOut,
 			SubsetX: decodeSubset(sc.members, sc.bStar),
+			Density: sc.density(g, x, set, workers(opts.Parallelism)),
 		})
 	}
-	res.Candidates = finalizeCandidates(g, out, set, workers(opts.Parallelism))
+	res.Candidates = sortCandidates(out)
 }

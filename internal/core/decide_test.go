@@ -58,7 +58,7 @@ func TestBallotMatchesMapModel(t *testing.T) {
 			}
 		}
 
-		b := newBallot(comps, &x)
+		b := newBallot(comps, &x, 1)
 		acked := make([]int32, len(comps))
 		b.count(comps, acked)
 		for ci, sc := range comps {

@@ -8,14 +8,15 @@ import (
 )
 
 // FuzzSearchProbeDensity drives the cached probes of a fixed small
-// planted instance through an arbitrary ε sequence: byte b probes
-// ε = εMin + (εMax−εMin)·b/255, and an odd byte then also checks
-// component b/2 mod |comps|, switching the density check to it. Every
-// check's incremental density must equal Graph.Density of the T set
-// built fresh, and materialize must leave the mark set all-zero.
+// planted instance with hubs through an arbitrary ε sequence: byte b
+// probes ε = εMin + (εMax−εMin)·b/255, and an odd byte then also checks
+// component b/2 mod |comps|. Every check's density, with rows (the
+// planted component) or without (a hub's), must equal Graph.Density of
+// the T set built fresh and leave the mark set all-zero, and so must
+// materialize.
 func FuzzSearchProbeDensity(f *testing.F) {
-	g := gen.PlantedNearClique(150, 50, 0.1, 0.03, 2).Graph
-	so, need, err := SearchOptions{Rho: 0.1, ExpectedSample: 10, Versions: 2, Seed: 1}.normalized(g.N())
+	g, _ := withHubs(gen.PlantedNearClique(150, 50, 0.1, 0.03, 2), 4, 150)
+	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 30, Versions: 2, Seed: 5}.normalized(g.N())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -24,7 +25,19 @@ func FuzzSearchProbeDensity(f *testing.F) {
 	if err != nil || len(cache.comps) < 2 || !cache.probe(so.EpsMax) {
 		f.Fatalf("fixed instance: err %v, %d components; want several and a detecting εMax", err, len(cache.comps))
 	}
-	cache.clearSet()
+	rows, none := 0, 0
+	for _, sc := range cache.comps {
+		switch {
+		case !sc.canAnnounce(need):
+		case sc.kt.rows != nil:
+			rows++
+		default:
+			none++
+		}
+	}
+	if rows == 0 || none == 0 {
+		f.Fatalf("fixed instance: %d components with rows, %d without; want both", rows, none)
+	}
 	putSeqScratch(scratch)
 
 	f.Add([]byte{255, 127, 63, 95, 79, 71, 75, 77, 76})
@@ -41,10 +54,10 @@ func FuzzSearchProbeDensity(f *testing.F) {
 			eps := so.EpsMin + (so.EpsMax-so.EpsMin)*float64(b)/255
 			cache.probe(eps)
 			if ci := cache.bestCommitted(); ci >= 0 {
-				checkIncrementalDensity(t, cache, ci)
+				checkDensity(t, cache, ci)
 			}
 			if b&1 == 1 {
-				checkIncrementalDensity(t, cache, int(b>>1)%len(cache.comps))
+				checkDensity(t, cache, int(b>>1)%len(cache.comps))
 			}
 		}
 		cache.materialize(so.EpsMax)

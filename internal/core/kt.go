@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"nearclique/internal/bitset"
 	"nearclique/internal/graph"
 )
 
@@ -16,6 +17,17 @@ import (
 // evalKT computes one K row per mask class instead of one per voter, and
 // each voter's neighbor K sum from its (class, count) histogram instead
 // of from its neighbors' rows.
+//
+// A component whose voter rows are no larger than the adjacency that
+// fills them, |V|·⌈|V|/64⌉ ≤ Σ_{v∈V} deg v, is dense: the paper's
+// premise puts the component that matters there, with voters ≈ the
+// planted near-clique. Its voter-induced subgraph G[V], as |V|-bit rows
+// in voter-position order, turns the histogram into popcount(row ∧
+// class set) per class and every T-set density into Σ_{i∈T}
+// popcount(row_i ∧ T). A sparse component — a hub whose rows would
+// outweigh its adjacency — counts entry by entry and keeps no rows.
+// Only a component that can announce a candidate has K/T tables at all
+// (seqComp.canAnnounce).
 
 // classCount is one entry of a voter's class histogram: count of the
 // voter's neighbors are voters of mask class class.
@@ -30,18 +42,35 @@ type ktTables struct {
 	voterClass []int32  // per voter: its class
 	histOff    []int32  // voter i's histogram is hist[histOff[i]:histOff[i+1]]
 	hist       []classCount
+	rowWords   int      // ⌈|V|/64⌉ for a dense component
+	rows       []uint64 // per voter, rowWords words: G[V] by voter position; nil = sparse
+}
+
+// denseRows reports whether a component with the given voters is dense:
+// its rows are no larger than the adjacency that fills them.
+func denseRows(g *graph.Graph, voters []int) bool {
+	sumDeg := 0
+	for _, u := range voters {
+		sumDeg += g.Degree(u)
+	}
+	n := len(voters)
+	return n*((n+63)/64) <= sumDeg
 }
 
 // ktScratch is the pooled working state of the kernel. The voter index
-// is graph-sized and all-zero outside buildKT; the rest is sized by the
-// largest component seen.
+// is graph-sized (seqScratch.sizeFor) and all-zero outside buildKT and
+// newBallot; the rest is sized by the largest component seen.
 type ktScratch struct {
 	voterPos []int32 // node -> its position+1 in the component's voter list, 0 = not a voter
 
-	masks   []uint32 // per voter, while building
-	classOf []int32  // mask -> class+1, 0 = unseen; reset after each build
-	hparts  []histPart
-	split   splitter // the histogram's voter runs
+	masks     []uint32 // per voter, while building
+	classOf   []int32  // mask -> class+1, 0 = unseen; reset after each build
+	classSets []uint64 // per class, rowWords words: its voters, while building rows
+	hparts    []histPart
+	split     splitter // the histogram's voter runs; the density's runs without rows
+
+	tset   []uint64 // a density check's T set by voter position
+	tnodes []int    // a density check's T set as nodes, without rows
 
 	kRows   []uint64 // per class: the K row, words per subset table
 	nbrK    []int32  // per subset: one voter's neighbor K sum
@@ -57,14 +86,12 @@ type histPart struct {
 	hist    []classCount
 }
 
-// buildKT captures the component's mask classes and class histograms.
-// sc.members and sc.voters must be set. The histograms, most of the
-// work, are built in up to par runs of voters of near-equal Σ deg.
-func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int) {
+// buildKT captures the component's mask classes and class histograms,
+// and its voter rows when rows is set (denseRows). sc.members and
+// sc.voters must be set. The histograms and rows, most of the work, are
+// built in up to par runs of voters of near-equal Σ deg.
+func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int, rows bool) {
 	voters := sc.voters
-	if len(x.voterPos) < g.N() {
-		x.voterPos = make([]int32, g.N())
-	}
 	pos := x.voterPos
 	for p, u := range voters {
 		pos[u] = int32(p) + 1
@@ -99,6 +126,15 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int) {
 	for _, a := range kt.classMask {
 		x.classOf[a] = 0
 	}
+	if rows {
+		w := (len(voters) + 63) / 64
+		kt.rowWords = w
+		kt.rows = make([]uint64, len(voters)*w)
+		x.classSets = resizeZero(x.classSets, len(kt.classMask)*w)
+		for p, c := range kt.voterClass {
+			x.classSets[int(c)*w+p>>6] |= 1 << uint(p&63)
+		}
+	}
 
 	// Run p > 0 fills its own entries and its voters' offsets relative
 	// to them; after the join they follow run p−1's, offsets shifted.
@@ -131,25 +167,51 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int) {
 }
 
 // histogram appends the class histograms of voters [lo, hi) to hist,
-// setting each one's end offset in hist, and returns hist. It reads the
-// voter index and the classes, and writes only hp and those offsets.
+// setting each one's end offset in hist, and returns hist; with rows it
+// first fills those voters' rows. It reads the voter index, the classes
+// and the class sets, and writes only hp, those offsets and those rows.
+// A voter's histogram is counted by popcount where that is cheaper than
+// its adjacency — classes·rowWords ≤ deg — and entry by entry
+// otherwise; both list exactly the classes with a nonzero count.
 func (sc *seqComp) histogram(g *graph.Graph, x *ktScratch, hp *histPart, lo, hi int, hist []classCount) []classCount {
-	kt, pos := &sc.kt, x.voterPos
+	kt, pos, w := &sc.kt, x.voterPos, sc.kt.rowWords
 	hp.cnt = resizeZero(hp.cnt, len(kt.classMask))
 	for i := lo; i < hi; i++ {
-		hp.touched = hp.touched[:0]
-		for _, w := range g.Neighbors(sc.voters[i]) {
-			if p := pos[w] - 1; p >= 0 {
-				c := kt.voterClass[p]
-				if hp.cnt[c] == 0 {
-					hp.touched = append(hp.touched, c)
+		nbrs := g.Neighbors(sc.voters[i])
+		var row []uint64
+		if kt.rows != nil {
+			row = kt.rows[i*w : (i+1)*w]
+			for _, v := range nbrs {
+				if p := pos[v] - 1; p >= 0 {
+					row[p>>6] |= 1 << uint(p&63)
 				}
-				hp.cnt[c]++
 			}
 		}
-		for _, c := range hp.touched {
-			hist = append(hist, classCount{class: c, count: hp.cnt[c]})
-			hp.cnt[c] = 0
+		if row != nil && len(kt.classMask)*w <= len(nbrs) {
+			for c := range kt.classMask {
+				cs, n := x.classSets[c*w:(c+1)*w], 0
+				for j, rw := range row {
+					n += bits.OnesCount64(rw & cs[j])
+				}
+				if n > 0 {
+					hist = append(hist, classCount{class: int32(c), count: int32(n)})
+				}
+			}
+		} else {
+			hp.touched = hp.touched[:0]
+			for _, v := range nbrs {
+				if p := pos[v] - 1; p >= 0 {
+					c := kt.voterClass[p]
+					if hp.cnt[c] == 0 {
+						hp.touched = append(hp.touched, c)
+					}
+					hp.cnt[c]++
+				}
+			}
+			for _, c := range hp.touched {
+				hist = append(hist, classCount{class: c, count: hp.cnt[c]})
+				hp.cnt[c] = 0
+			}
 		}
 		kt.histOff[i+1] = int32(len(hist))
 	}
@@ -231,6 +293,47 @@ func (sc *seqComp) evalKT(eps float64, x *ktScratch) {
 // inT reports whether voter i lies in T_ε(X_b) as last evaluated.
 func (sc *seqComp) inT(i int, b int32) bool {
 	return sc.tbits[i*sc.tWords+int(b>>6)]&(1<<uint(b&63)) != 0
+}
+
+// density returns Graph.Density of the component's T set at bStar as
+// last evaluated: its exact float expression over the exact integer
+// count of adjacency entries inside the set. With rows the count is
+// Σ_{i∈T} popcount(row_i ∧ T), O(|V| + |T|·rowWords); without, it is
+// summed by x.split in up to par runs with set — all-zero on entry and
+// on return — as the membership scratch.
+func (sc *seqComp) density(g *graph.Graph, x *ktScratch, set *bitset.Set, par int) float64 {
+	kt := &sc.kt
+	if kt.rows == nil {
+		x.tnodes = x.tnodes[:0]
+		for i, u := range sc.voters {
+			if sc.inT(i, sc.bStar) {
+				x.tnodes = append(x.tnodes, u)
+			}
+		}
+		return x.split.density(g, x.tnodes, set, par)
+	}
+	w := kt.rowWords
+	x.tset = resizeZero(x.tset, w)
+	k := 0
+	for i := range sc.voters {
+		if sc.inT(i, sc.bStar) {
+			x.tset[i>>6] |= 1 << uint(i&63)
+			k++
+		}
+	}
+	if k <= 1 {
+		return 1
+	}
+	entries := 0
+	for wi, tw := range x.tset {
+		for ; tw != 0; tw &= tw - 1 {
+			i := wi<<6 | bits.TrailingZeros64(tw)
+			for j, rw := range kt.rows[i*w : (i+1)*w] {
+				entries += bits.OnesCount64(rw & x.tset[j])
+			}
+		}
+	}
+	return float64(2*(entries/2)) / float64(k*(k-1))
 }
 
 // resizeZero returns s with length n and every element zero, reusing its

@@ -200,14 +200,20 @@ func (r *Result) Best() *Candidate {
 	return &r.Candidates[0]
 }
 
-// finalizeCandidates sorts candidates (size desc, then label asc) and
-// fills densities, each summed in up to par runs with set — all-zero on
-// entry and on return — as its membership scratch.
+// finalizeCandidates fills the candidates' densities, each summed in up
+// to par runs with set — all-zero on entry and on return — as its
+// membership scratch, and sorts them.
 func finalizeCandidates(g *graph.Graph, cands []Candidate, set *bitset.Set, par int) []Candidate {
 	var sp splitter
 	for i := range cands {
 		cands[i].Density = sp.density(g, cands[i].Members, set, par)
 	}
+	return sortCandidates(cands)
+}
+
+// sortCandidates sorts candidates by size desc, then label asc, then
+// version asc, and returns them.
+func sortCandidates(cands []Candidate) []Candidate {
 	sort.Slice(cands, func(i, j int) bool {
 		if len(cands[i].Members) != len(cands[j].Members) {
 			return len(cands[i].Members) > len(cands[j].Members)

@@ -76,13 +76,14 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 }
 
 // TestReplayScratchZeroAfterRun pins the all-zero invariant of the
-// graph-sized scratch that the replay sets and clears entry by entry —
-// the K/T kernel's dense voter index, and the mark set that dedups
-// voters and tracks the ID walk's positions — after a solve, after a
-// search and its probes, and after an ErrComponentTooLarge abort that
-// follows built components. A search leaves them all-zero whether it
-// ends in a result, in ErrNotFound or canceled between probes — after a
-// probe has filled the mark set.
+// pooled scratch that the replay sets and clears entry by entry — the
+// K/T kernel's dense voter index, and the mark set that dedups voters,
+// tracks the ID walk's positions and holds a density check's T set when
+// its component keeps no rows —
+// after a solve, after a search and its probes, and after an
+// ErrComponentTooLarge abort that follows built components. A search
+// leaves them all-zero whether it ends in a result, in ErrNotFound or
+// canceled between probes, and so does every probe's density check.
 func TestReplayScratchZeroAfterRun(t *testing.T) {
 	ctx := context.Background()
 	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
@@ -118,8 +119,8 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBallot(comps, &scratch.kt)
-	decideAndCommit(g, opts, comps, &b, res, scratch.mark)
+	b := newBallot(comps, &scratch.kt, opts.MinSize)
+	decideAndCommit(g, opts, comps, &b, res, &scratch.kt, scratch.mark)
 	check("solve", comps)
 
 	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 12, Versions: 2, Seed: 1}.normalized(g.N())
@@ -130,16 +131,15 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	if err != nil || cache.failed {
 		t.Fatalf("search cache: err %v, failed %v", err, cache.failed)
 	}
-	cache.probe(so.EpsMax)
+	// A probe that detects has checked a density.
+	if !cache.probe(so.EpsMax) {
+		t.Fatal("εMax probe found nothing; no density check would run")
+	}
+	check("search probe", cache.comps)
 	cache.probe(so.EpsMin)
 	cache.materialize(so.EpsMax)
 	check("search", cache.comps)
 
-	// The cache keeps its checked T set between probes; a search must
-	// hand the mark set back empty however it ends.
-	if !cache.probe(so.EpsMax) || scratch.mark.Count() == 0 {
-		t.Fatal("εMax probe left no T set in the mark set; the checks below would be vacuous")
-	}
 	tight := so
 	tight.EpsMin, tight.EpsMax = 0.001, 0.002
 	if _, _, err := cache.search(ctx, tight); !errors.Is(err, ErrNotFound) {
@@ -190,8 +190,8 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 			sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 		})
 		if err == nil {
-			b := newBallot(comps, &scratch.kt)
-			decideAndCommit(big, opts, comps, &b, res, scratch.mark)
+			b := newBallot(comps, &scratch.kt, opts.MinSize)
+			decideAndCommit(big, opts, comps, &b, res, &scratch.kt, scratch.mark)
 		}
 		zero(stage)
 		return res, comps, err
@@ -218,11 +218,11 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	}
 }
 
-// parallelInstance is the shape that crosses every split threshold of
-// the replay at two workers: n = 2e4 nodes sample in two ranges and
+// parallelInstance is the shape that crosses the replay's split
+// thresholds at two workers: n = 2e4 nodes sample in two ranges and
 // start the draw worker, and the planted set of 600 (degree ≈ 600 each)
-// gives its components, and the committed candidate, an adjacency of
-// well over 2·minPartWork entries.
+// gives its components an adjacency of well over 2·minPartWork entries,
+// so their histograms and rows are built in two runs.
 func parallelInstance() (*graph.Graph, Options) {
 	const n, size = 20_000, 600
 	g := gen.SparsePlantedNearClique(n, size, 0.25*0.25*0.25, 10, 1).Graph
@@ -246,7 +246,7 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 	}
 	best := res.Best()
 	if best == nil {
-		t.Fatal("no candidate committed; the density split would go untested")
+		t.Fatal("no candidate committed; the histogram and row split would go untested")
 	}
 	if work := degreeTotal(g, best.Members); work < 2*minPartWork {
 		t.Fatalf("best candidate's adjacency is %d entries, below the split threshold %d", work, 2*minPartWork)

@@ -20,13 +20,12 @@ const seqCtxCheckEvery = 64
 // mark set that dedups a component's voters and tracks the ID walk's
 // positions, the ID walk's recorded draws, and the K/T kernel's dense
 // voter index. The mark set and the voter index are all-zero between
-// components. The search probes borrow the mark set for their density
-// check and keep the last checked T set in it between probes; the
-// search empties it before the scratch returns to the pool. The coins
-// keep no per-node array at all. Batch serving solves many graphs back
-// to back, often concurrently, so the scratch lives in a sync.Pool: each
-// in-flight run owns one scratch exclusively, and parallel SolveBatch
-// workers draw distinct instances.
+// components. A density check of a component without rows borrows the
+// mark set and clears it again. The coins keep no per-node array at
+// all. Batch serving solves many graphs back to back, often
+// concurrently, so the scratch lives in a sync.Pool: each in-flight run
+// owns one scratch exclusively, and parallel SolveBatch workers draw
+// distinct instances.
 type seqScratch struct {
 	coins      congest.Coins
 	walk       congest.IDWalk
@@ -54,6 +53,9 @@ func (s *seqScratch) sizeFor(n int) {
 	if s.inS == nil || s.inS.Len() != n {
 		s.inS = bitset.New(n)
 		s.mark = bitset.New(n)
+	}
+	if len(s.kt.voterPos) < n {
+		s.kt.voterPos = make([]int32, n)
 	}
 }
 

@@ -41,31 +41,47 @@ func SearchFrontierContext(ctx context.Context, g *graph.Graph, so SearchOptions
 	return cache.search(ctx, so)
 }
 
-// search runs the bisection over [so.EpsMin, so.EpsMax] on the cache.
-// It leaves the lent mark set all-zero on every return, so the scratch
-// goes back to the pool clean.
+// search runs the bisection over [so.EpsMin, so.EpsMax] on the cache,
+// in a "probes" flight phase, and materializes the winning ε's Result
+// in a "materialize" phase.
 func (c *searchCache) search(ctx context.Context, so SearchOptions) (float64, *Result, error) {
-	defer c.clearSet()
+	c.ft.begin("probes")
+	eps, probes, err := c.bisect(ctx, so)
+	c.ft.end(probes)
+	if err != nil {
+		return 0, nil, err
+	}
+	c.ft.begin("materialize")
+	res := c.materialize(eps)
+	c.ft.end(len(res.Candidates))
+	return eps, res, nil
+}
+
+// bisect returns the least ε of the bisection that detects and how many
+// probes it ran.
+func (c *searchCache) bisect(ctx context.Context, so SearchOptions) (float64, int, error) {
+	probes := 0
 	probe := func(eps float64) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("core: search interrupted: %w", err)
 		}
+		probes++
 		return c.probe(eps), nil
 	}
 	lo, hi := so.EpsMin, so.EpsMax
 	ok, err := probe(hi)
 	if err != nil {
-		return 0, nil, err
+		return 0, probes, err
 	}
 	if !ok {
-		return 0, nil, ErrNotFound
+		return 0, probes, ErrNotFound
 	}
 	bestEps := hi
 	for step := 0; step < so.Steps; step++ {
 		mid := (lo + hi) / 2
 		ok, err := probe(mid)
 		if err != nil {
-			return 0, nil, err
+			return 0, probes, err
 		}
 		if ok {
 			hi, bestEps = mid, mid
@@ -73,13 +89,15 @@ func (c *searchCache) search(ctx context.Context, so SearchOptions) (float64, *R
 			lo = mid
 		}
 	}
-	return bestEps, c.materialize(bestEps), nil
+	return bestEps, probes, nil
 }
 
 // searchCache is the ε-invariant state shared by every probe of one
 // bisection — the components with their K/T kernel tables and their
 // ballot — plus the pooled scratch that makes a probe allocation-free:
 // the kernel's buffers and T tables are reused, never reallocated.
+// set is the scratch's all-zero n-bit mark set, which the density check
+// of a component without rows borrows.
 type searchCache struct {
 	g    *graph.Graph
 	opts Options // resolved probe options (Epsilon field unused)
@@ -93,17 +111,9 @@ type searchCache struct {
 	ballot ballot
 
 	kt    *ktScratch
+	set   *bitset.Set
 	acked []int32 // per-probe ack counters, indexed like comps
-
-	// The density check's state, kept between probes so that a check
-	// costs the degrees of the nodes that changed: memberSet (the
-	// scratch's n-bit mark set) holds the T set last checked, of
-	// component setComp (-1: none, the set is empty), with setK nodes
-	// and setEdges edges among them.
-	memberSet *bitset.Set
-	setComp   int
-	setK      int
-	setEdges  int
+	ft    *flightTrace
 }
 
 // buildSearchCache runs the shared traversal and captures everything a
@@ -123,10 +133,9 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 	if err != nil {
 		return nil, err
 	}
-	c := &searchCache{g: g, opts: opts, need: need, kt: &scratch.kt, setComp: -1}
+	c := &searchCache{g: g, opts: opts, need: need, kt: &scratch.kt, ft: newFlightTrace(so.Flight)}
 	res := &Result{SampleSizes: make([]int, opts.Versions)}
-	ft := newFlightTrace(so.Flight)
-	comps, err := collectComps(ctx, g, opts, scratch, ft, res, func(*seqComp) {})
+	comps, err := collectComps(ctx, g, opts, scratch, c.ft, res, func(*seqComp) {})
 	c.sampleSizes, c.maxComponent = res.SampleSizes, res.MaxComponent
 	if err != nil {
 		if errors.Is(err, ErrComponentTooLarge) {
@@ -136,9 +145,9 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 		return nil, err
 	}
 	c.comps = comps
-	c.ballot = newBallot(comps, c.kt)
+	c.ballot = newBallot(comps, c.kt, opts.MinSize)
 	c.acked = make([]int32, len(comps))
-	c.memberSet = scratch.mark
+	c.set = scratch.mark // sized by collectComps
 	return c, nil
 }
 
@@ -197,55 +206,17 @@ func (c *searchCache) probe(eps float64) bool {
 	return ci >= 0 && c.density(ci) >= 1-eps-1e-9
 }
 
-// density moves the mark set to component ci's T set as last evaluated
-// and returns its density, Graph.Density's exact expression over an
-// exact integer edge count. On the component checked last it pays only
-// for the nodes that left or joined T: a leaving node's degree into the
-// rest of the set is subtracted after its removal, a joining node's is
-// added before its insertion, so the count stays exact in any order.
+// density returns Graph.Density of component ci's T set as last
+// evaluated.
 func (c *searchCache) density(ci int) float64 {
-	if ci != c.setComp {
-		c.clearSet()
-		c.setComp = ci
-	}
-	sc, set := c.comps[ci], c.memberSet
-	for i, u := range sc.voters {
-		switch in, want := set.Contains(u), sc.inT(i, sc.bStar); {
-		case in && !want:
-			set.Remove(u)
-			c.setK--
-			c.setEdges -= c.g.DegreeIn(u, set)
-		case want && !in:
-			c.setEdges += c.g.DegreeIn(u, set)
-			set.Add(u)
-			c.setK++
-		}
-	}
-	k := c.setK
-	if k <= 1 {
-		return 1
-	}
-	return float64(2*c.setEdges) / float64(k*(k-1))
-}
-
-// clearSet empties the mark set, removing exactly the bits of the
-// component checked last.
-func (c *searchCache) clearSet() {
-	if c.setComp >= 0 {
-		for _, u := range c.comps[c.setComp].voters {
-			c.memberSet.Remove(u)
-		}
-	}
-	c.setComp, c.setK, c.setEdges = -1, 0, 0
+	return c.comps[ci].density(c.g, c.kt, c.set, workers(c.opts.Parallelism))
 }
 
 // materialize builds the winning ε's full Result — labels, finalized
 // candidates, sample sizes — through the same decideAndCommit every
 // engine runs, so it is bit-identical to what a full probe at that ε
-// returns. It first empties the mark set, which the committed
-// candidates' densities then borrow.
+// returns.
 func (c *searchCache) materialize(eps float64) *Result {
-	c.clearSet()
 	res := &Result{
 		Labels:       make([]int64, c.g.N()),
 		SampleSizes:  append([]int(nil), c.sampleSizes...),
@@ -255,6 +226,6 @@ func (c *searchCache) materialize(eps float64) *Result {
 		res.Labels[i] = NoLabel
 	}
 	c.evaluate(eps)
-	decideAndCommit(c.g, c.opts, c.comps, &c.ballot, res, c.memberSet)
+	decideAndCommit(c.g, c.opts, c.comps, &c.ballot, res, c.kt, c.set)
 	return res
 }

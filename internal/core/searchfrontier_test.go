@@ -194,13 +194,16 @@ func TestFindFrontierFlightRoundEvents(t *testing.T) {
 	}
 }
 
-// checkIncrementalDensity moves the cache's density check to component
-// ci and asserts that the incremental density equals Graph.Density of
-// ci's T set built fresh, bit for bit, and that the mark set holds
-// exactly that set.
-func checkIncrementalDensity(t testing.TB, cache *searchCache, ci int) {
+// checkDensity asserts that the cache's density check of component ci
+// equals Graph.Density of ci's T set built fresh, bit for bit, and
+// hands the mark set back all-zero. It reports whether ci keeps rows; a
+// component that cannot announce has no T set and is not checked.
+func checkDensity(t testing.TB, cache *searchCache, ci int) bool {
 	t.Helper()
 	sc := cache.comps[ci]
+	if !sc.canAnnounce(cache.need) {
+		return false
+	}
 	var members []int
 	for i, u := range sc.voters {
 		if sc.inT(i, sc.bStar) {
@@ -209,27 +212,27 @@ func checkIncrementalDensity(t testing.TB, cache *searchCache, ci int) {
 	}
 	fresh := bitset.FromIndices(cache.g.N(), members)
 	if got, want := cache.density(ci), cache.g.Density(fresh); got != want {
-		t.Fatalf("component %d (%d T members): incremental density %v != Graph.Density %v",
-			ci, len(members), got, want)
+		t.Fatalf("component %d (%d T members, rows %v): density %v != Graph.Density %v",
+			ci, len(members), sc.kt.rows != nil, got, want)
 	}
-	if !cache.memberSet.Equal(fresh) {
-		t.Fatalf("component %d: the mark set does not hold its T set", ci)
+	if c := cache.set.Count(); c != 0 {
+		t.Fatalf("component %d: %d mark bits left set after its density check", ci, c)
 	}
+	return sc.kt.rows != nil
 }
 
-// TestSearchProbeDensityMatchesGraphDensity pins the probes' incremental
-// density check on a multi-component instance. One cache is driven
-// through the bisection's ε order, then through a seeded random order
-// with repeats. After every probe the best committed component's
-// density — left in place by the probe — must equal Graph.Density of
-// its T set built fresh; then every other component is checked in a
-// random order, so the set switches components, and the best is checked
-// again, so the next probe diffs one component across two ε. Each
-// probe's verdict must equal a full FindSequentialContext probe's.
+// TestSearchProbeDensityMatchesGraphDensity pins the probes' density
+// check on a multi-component instance whose components that can
+// announce include dense ones, which keep rows, and hubs, which do not.
+// One cache is driven through the bisection's ε order, then through a
+// seeded random order with repeats. After every probe each such
+// component's density at that ε — the best committed one's first — must
+// equal Graph.Density of its T set built fresh, and each probe's
+// verdict must equal a full FindSequentialContext probe's.
 func TestSearchProbeDensityMatchesGraphDensity(t *testing.T) {
 	ctx := context.Background()
-	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
-	so, need, err := SearchOptions{Rho: 0.05, ExpectedSample: 12, Versions: 2, Seed: 1}.normalized(g.N())
+	g, _ := hubInstance()
+	so, need, err := SearchOptions{Rho: 0.02, ExpectedSample: 200, Versions: 4, Seed: 3}.normalized(g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +246,8 @@ func TestSearchProbeDensityMatchesGraphDensity(t *testing.T) {
 		t.Fatalf("%d components; the instance must have several", len(cache.comps))
 	}
 	rng := rand.New(rand.NewSource(7))
-	sameDiffs, switches := 0, 0
+	withRows, without := 0, 0
 	probe := func(eps float64) bool {
-		prevComp, prevK, prevEdges := cache.setComp, cache.setK, cache.setEdges
 		got := cache.probe(eps)
 		res, err := FindSequentialContext(ctx, g, Options{
 			Epsilon: eps, ExpectedSample: so.ExpectedSample, Seed: so.Seed,
@@ -258,21 +260,18 @@ func TestSearchProbeDensityMatchesGraphDensity(t *testing.T) {
 		if want := best != nil && len(best.Members) >= need && best.Density >= 1-eps-1e-9; got != want {
 			t.Fatalf("ε=%v: cached probe %v, full probe %v", eps, got, want)
 		}
-		bi := cache.bestCommitted()
-		if bi < 0 {
-			return got
+		if bi := cache.bestCommitted(); bi >= 0 {
+			checkDensity(t, cache, bi)
 		}
-		if bi == prevComp && (cache.setK != prevK || cache.setEdges != prevEdges) {
-			sameDiffs++
-		}
-		checkIncrementalDensity(t, cache, bi)
 		for _, ci := range rng.Perm(len(cache.comps)) {
-			if ci != cache.setComp {
-				switches++
+			switch {
+			case !cache.comps[ci].canAnnounce(need):
+			case checkDensity(t, cache, ci):
+				withRows++
+			default:
+				without++
 			}
-			checkIncrementalDensity(t, cache, ci)
 		}
-		checkIncrementalDensity(t, cache, bi)
 		return got
 	}
 
@@ -294,19 +293,19 @@ func TestSearchProbeDensityMatchesGraphDensity(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		probe(pool[rng.Intn(len(pool))])
 	}
-	if sameDiffs == 0 || switches == 0 {
-		t.Fatalf("%d same-component diffs, %d component switches; want both", sameDiffs, switches)
+	if withRows == 0 || without == 0 {
+		t.Fatalf("%d checks with rows, %d without; want both", withRows, without)
 	}
 	cache.materialize(hi)
-	if c := cache.memberSet.Count(); c != 0 {
+	if c := cache.set.Count(); c != 0 {
 		t.Fatalf("%d mark bits left set after materialize", c)
 	}
 }
 
 // TestSearchFrontierProbeAllocs pins the cached probe's allocation
 // profile: after the shared traversal, a probe re-evaluates the K/T
-// kernel, the votes and the density check in preallocated buffers and
-// the pooled member set, and allocates nothing. This is the enforcement
+// kernel, the votes and the density check in preallocated buffers, and
+// allocates nothing. This is the enforcement
 // half of routing Search probes through pooled scratch.
 func TestSearchFrontierProbeAllocs(t *testing.T) {
 	g := gen.SparsePlantedNearClique(2000, 200, 0.01, 8, 5).Graph

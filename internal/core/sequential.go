@@ -73,8 +73,8 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 	// Decision stage: every voter acks its best adjacent candidate and
 	// aborts the rest; a candidate commits iff no adjacent voter aborted.
 	ft.begin("decide")
-	b := newBallot(comps, &scratch.kt)
-	decideAndCommit(g, opts, comps, &b, res, scratch.mark)
+	b := newBallot(comps, &scratch.kt, opts.MinSize)
+	decideAndCommit(g, opts, comps, &b, res, &scratch.kt, scratch.mark)
 	ft.end(len(comps))
 	if opts.Progress != nil {
 		opts.Progress(Progress{
@@ -88,11 +88,11 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 // collectComps runs the ε-invariant half of a replay: the sampling coins
 // (version j draws the (2j+1)-th and (2j+2)-th floats of each node's
 // stream, exactly as the distributed nodes do), 64-seed batched
-// component discovery, each component's voters, and its ε-invariant K/T
-// kernel tables. visit observes each component in transcript order — the
-// solve finishes thresholds there, the search cache defers them to its
-// probes. Shared so that a solve and a search probe provably traverse
-// identically.
+// component discovery, each component's voters, and — for one that can
+// announce — its ε-invariant K/T kernel tables. visit observes each
+// component in transcript order — the solve finishes thresholds there,
+// the search cache defers them to its probes. Shared so that a solve
+// and a search probe provably traverse identically.
 func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) ([]*seqComp, error) {
 	n := g.N()
 	par := workers(opts.Parallelism)
@@ -132,7 +132,9 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 			}
 			sc := newSeqComp(members, ver)
 			sc.voters = scratch.gatherVoters(g, members)
-			sc.buildKT(g, &scratch.kt, par)
+			if sc.canAnnounce(opts.MinSize) {
+				sc.buildKT(g, &scratch.kt, par, denseRows(g, sc.voters))
+			}
 
 			visit(sc)
 			comps = append(comps, sc)

@@ -8,19 +8,23 @@ import (
 )
 
 // Scratch is the reusable per-traversal state of the cluster kernels:
-// two frontier bitsets, the per-vertex seed-membership words, and the
-// frozen previous-wave words the direction-optimized waves read from.
-// A Scratch serves one traversal at a time (callers pool whole
-// instances); Components leaves the words
-// array all-zero again on return, so a Scratch is reusable without a
-// O(n) reset.
+// two frontier bitsets, the seed-membership words, and the frozen
+// previous-wave words the direction-optimized waves read from. A
+// Scratch serves one traversal at a time (callers pool whole
+// instances); Components leaves the words all-zero again on return, so
+// a Scratch is reusable without a reset. The words are kept only for
+// the flooded subgraph's vertices, in ascending order: vertex v of sub
+// has slot rank[v/64] + |sub ∩ [64·⌊v/64⌋, v)|, so a flood over a
+// sample of s vertices holds 16s bytes of words, not 16 per graph
+// vertex.
 type Scratch struct {
 	n      int
 	front  *bitset.Set
 	next   *bitset.Set
 	remain *bitset.Set
-	words  []uint64
-	prev   []uint64
+	rank   []int32  // per word of sub: the sub vertices in earlier words
+	words  []uint64 // per sub vertex, by slot: its seed-membership word
+	prev   []uint64 // per sub vertex, by slot: its word frozen at the wave start
 	found  []int
 }
 
@@ -42,14 +46,43 @@ func (sc *Scratch) Ensure(n int) {
 	sc.front = bitset.New(n)
 	sc.next = bitset.New(n)
 	sc.remain = bitset.New(n)
-	sc.words = make([]uint64, n)
-	sc.prev = make([]uint64, n)
+}
+
+// index numbers sub's vertices into slots and sizes the words for them.
+func (sc *Scratch) index(sub *bitset.Set) {
+	sc.rank = sc.rank[:0]
+	total := int32(0)
+	for wi := 0; wi < sub.WordCount(); wi++ {
+		sc.rank = append(sc.rank, total)
+		total += int32(bits.OnesCount64(sub.Word(wi)))
+	}
+	if cap(sc.words) < int(total) {
+		sc.words = make([]uint64, total)
+		sc.prev = make([]uint64, total)
+	}
+	sc.words = sc.words[:total]
+	sc.prev = sc.prev[:total]
+}
+
+// slot returns the words' slot of v, a vertex of sub.
+func (sc *Scratch) slot(sub *bitset.Set, v int) int {
+	wi := v >> 6
+	return int(sc.rank[wi]) + bits.OnesCount64(sub.Word(wi)&(1<<uint(v&63)-1))
+}
+
+// word returns v's seed-membership word after ClusterBFS over sub: 0
+// for a vertex outside sub.
+func (sc *Scratch) word(sub *bitset.Set, v int) uint64 {
+	if !sub.Contains(v) {
+		return 0
+	}
+	return sc.words[sc.slot(sub, v)]
 }
 
 // ClusterBFS floods 64-bit seed-membership words through the subgraph
-// induced by sub: on return sc.words[v] has bit i set iff v is
+// induced by sub: on return sc.word(sub, v) has bit i set iff v is
 // connected to seeds[i] within G[sub]. All seeds must lie in sub and
-// len(seeds) ≤ 64; sc.words must be all-zero on entry (the documented
+// len(seeds) ≤ 64; the words must be all-zero on entry (the documented
 // Scratch invariant). onWave, if non-nil, observes every wave with the
 // frontier population at its start and the arena entries it examined.
 //
@@ -64,11 +97,12 @@ func (sc *Scratch) Ensure(n int) {
 // the full seed set of its component.
 func ClusterBFS(g *graph.Graph, sub *bitset.Set, seeds []int, sc *Scratch, onWave func(frontier int, examined int64)) {
 	sc.Ensure(g.N())
+	sc.index(sub)
 	front, next := sc.front, sc.next
 	front.Clear()
 	next.Clear()
 	for i, s := range seeds {
-		sc.words[s] |= 1 << uint(i)
+		sc.words[sc.slot(sub, s)] |= 1 << uint(i)
 		front.Add(s)
 	}
 	// The pull side of a wave scans all of sub, so the switch compares
@@ -80,7 +114,10 @@ func ClusterBFS(g *graph.Graph, sub *bitset.Set, seeds []int, sc *Scratch, onWav
 		if pop == 0 {
 			return
 		}
-		front.ForEach(func(v int) { sc.prev[v] = sc.words[v] })
+		front.ForEach(func(v int) {
+			r := sc.slot(sub, v)
+			sc.prev[r] = sc.words[r]
+		})
 		var examined int64
 		if ef > subEdges/DenseFraction {
 			examined = clusterPull(g, sub, front, next, sc)
@@ -101,13 +138,16 @@ func clusterPush(g *graph.Graph, sub, front, next *bitset.Set, sc *Scratch) int6
 	offsets, targets := g.Arena()
 	var examined int64
 	front.ForEach(func(v int) {
-		w := sc.prev[v]
+		w := sc.prev[sc.slot(sub, v)]
 		row := targets[offsets[v]:offsets[v+1]]
 		examined += int64(len(row))
 		for _, t := range row {
 			u := int(t)
-			if sub.Contains(u) && sc.words[u]|w != sc.words[u] {
-				sc.words[u] |= w
+			if !sub.Contains(u) {
+				continue
+			}
+			if r := sc.slot(sub, u); sc.words[r]|w != sc.words[r] {
+				sc.words[r] |= w
 				next.Add(u)
 			}
 		}
@@ -122,19 +162,21 @@ func clusterPush(g *graph.Graph, sub, front, next *bitset.Set, sc *Scratch) int6
 func clusterPull(g *graph.Graph, sub, front, next *bitset.Set, sc *Scratch) int64 {
 	offsets, targets := g.Arena()
 	var examined int64
+	r := 0 // u's slot: sub is visited in ascending order
 	sub.ForEach(func(u int) {
-		acc := sc.words[u]
+		acc := sc.words[r]
 		row := targets[offsets[u]:offsets[u+1]]
 		examined += int64(len(row))
 		for _, t := range row {
 			if front.Contains(int(t)) {
-				acc |= sc.prev[int(t)]
+				acc |= sc.prev[sc.slot(sub, int(t))]
 			}
 		}
-		if acc != sc.words[u] {
-			sc.words[u] = acc
+		if acc != sc.words[r] {
+			sc.words[r] = acc
 			next.Add(u)
 		}
+		r++
 	})
 	return examined
 }
@@ -170,14 +212,16 @@ func Components(g *graph.Graph, sub *bitset.Set, sc *Scratch, onWave func(fronti
 		ClusterBFS(g, remain, seeds[:ns], sc, onWave)
 		comps := make([][]int, ns)
 		sc.found = sc.found[:0]
+		r := 0 // v's slot: remain is visited in ascending order
 		remain.ForEach(func(v int) {
-			w := sc.words[v]
+			w := sc.words[r]
+			r++
 			if w == 0 {
 				return
 			}
 			li := bits.TrailingZeros64(w)
 			comps[li] = append(comps[li], v)
-			sc.words[v] = 0
+			sc.words[r-1] = 0
 			sc.found = append(sc.found, v)
 		})
 		for _, v := range sc.found {

@@ -79,8 +79,8 @@ func TestClusterBFSWordsMatchConnectivity(t *testing.T) {
 					}
 				}
 			}
-			if sc.words[v] != want {
-				t.Fatalf("trial %d: words[%d] = %b, want %b", trial, v, sc.words[v], want)
+			if got := sc.word(sub, v); got != want {
+				t.Fatalf("trial %d: word(%d) = %b, want %b", trial, v, got, want)
 			}
 		}
 	}

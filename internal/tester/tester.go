@@ -13,7 +13,6 @@ import (
 	"math/bits"
 	"math/rand"
 
-	"nearclique/internal/bitset"
 	"nearclique/internal/graph"
 )
 
@@ -212,19 +211,6 @@ func ApproximateFind(o *Oracle, witness []int, eps float64) []int {
 		}
 	}
 	return out
-}
-
-// BestNearClique runs TestRhoClique and, on acceptance, ApproximateFind,
-// returning the found set (possibly nil), its density, and total queries.
-func BestNearClique(g *graph.Graph, opts Options) ([]int, float64, int) {
-	o := NewOracle(g)
-	v := TestRhoClique(o, opts)
-	if !v.Accept {
-		return nil, 0, o.Queries()
-	}
-	set := ApproximateFind(o, v.Witness, opts.Epsilon)
-	density := g.Density(bitset.FromIndices(g.N(), set))
-	return set, density, o.Queries()
 }
 
 // sampleNodes draws size distinct nodes uniformly (or all nodes if

@@ -87,11 +87,13 @@ func TestApproximateFindRecoversNearClique(t *testing.T) {
 	p := gen.PlantedClique(250, 100, 0.03, 11)
 	found := false
 	for seed := int64(0); seed < 8 && !found; seed++ {
-		set, density, _ := BestNearClique(p.Graph, Options{Rho: 0.35, Epsilon: 0.2, Seed: seed})
-		if set == nil {
+		o := NewOracle(p.Graph)
+		v := TestRhoClique(o, Options{Rho: 0.35, Epsilon: 0.2, Seed: seed})
+		if !v.Accept {
 			continue
 		}
-		if len(set) >= 80 && density >= 0.75 {
+		set := ApproximateFind(o, v.Witness, 0.2)
+		if len(set) >= 80 && p.Graph.DensityOf(set) >= 0.75 {
 			found = true
 		}
 	}
