@@ -263,7 +263,7 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eps, sres, err := SearchFrontierContext(ctx, g, s)
+			eps, sres, err := SearchCachedContext(ctx, g, s)
 			if err != nil {
 				t.Fatal(err)
 			}

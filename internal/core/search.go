@@ -20,7 +20,7 @@ import (
 // procedure of [9] — experiment E10 (go run ./cmd/experiments -run E10)
 // calibrates it.
 
-// SearchOptions configures an ε search (SearchFrontierContext or
+// SearchOptions configures an ε search (SearchCachedContext or
 // SearchWithRunner).
 type SearchOptions struct {
 	// Rho is the required set fraction: the returned ε is the smallest at
@@ -89,7 +89,7 @@ var ErrNotFound = errors.New("core: no near-clique of the requested size found a
 // simulator-backed closure when a simulator engine is selected, so Search
 // costs — and measures — what the configured engine costs. With
 // FindSequentialContext as run it is the per-probe reference the search
-// parity suite checks SearchFrontierContext against. Detection is
+// parity suite checks SearchCachedContext against. Detection is
 // engine-independent (the engines are bit-identical), so the returned ε
 // never depends on the runner; only the Result's Metrics do. Every probe
 // observes ctx, and a canceled probe aborts the whole search with an

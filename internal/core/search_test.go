@@ -11,7 +11,7 @@ import (
 func TestSearchMinEpsilonOnPlantedClique(t *testing.T) {
 	// A strict planted clique should be detectable at small ε.
 	p := gen.PlantedClique(300, 110, 0.02, 5)
-	eps, res, err := SearchFrontierContext(context.Background(), p.Graph, SearchOptions{
+	eps, res, err := SearchCachedContext(context.Background(), p.Graph, SearchOptions{
 		Rho: 0.25, Seed: 3, ExpectedSample: 7,
 	})
 	if err != nil {
@@ -30,11 +30,11 @@ func TestSearchMinEpsilonOrdersInstances(t *testing.T) {
 	tight := gen.PlantedNearClique(300, 110, 0.005, 0.02, 7)
 	loose := gen.PlantedNearClique(300, 110, 0.12, 0.02, 7)
 	so := SearchOptions{Rho: 0.25, Seed: 9, ExpectedSample: 7}
-	epsTight, _, err := SearchFrontierContext(context.Background(), tight.Graph, so)
+	epsTight, _, err := SearchCachedContext(context.Background(), tight.Graph, so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epsLoose, _, err := SearchFrontierContext(context.Background(), loose.Graph, so)
+	epsLoose, _, err := SearchCachedContext(context.Background(), loose.Graph, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSearchMinEpsilonOrdersInstances(t *testing.T) {
 func TestSearchMinEpsilonNotFound(t *testing.T) {
 	// A sparse random graph has no near-clique of 40% of the nodes.
 	g := gen.ErdosRenyi(200, 0.03, 2)
-	_, _, err := SearchFrontierContext(context.Background(), g, SearchOptions{Rho: 0.4, Seed: 1})
+	_, _, err := SearchCachedContext(context.Background(), g, SearchOptions{Rho: 0.4, Seed: 1})
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -54,17 +54,17 @@ func TestSearchMinEpsilonNotFound(t *testing.T) {
 
 func TestSearchMinEpsilonValidation(t *testing.T) {
 	g := gen.Complete(10)
-	if _, _, err := SearchFrontierContext(context.Background(), g, SearchOptions{Rho: 0}); err == nil {
+	if _, _, err := SearchCachedContext(context.Background(), g, SearchOptions{Rho: 0}); err == nil {
 		t.Fatal("Rho=0 accepted")
 	}
-	if _, _, err := SearchFrontierContext(context.Background(), g, SearchOptions{Rho: 0.5, EpsMin: 0.4, EpsMax: 0.3}); err == nil {
+	if _, _, err := SearchCachedContext(context.Background(), g, SearchOptions{Rho: 0.5, EpsMin: 0.4, EpsMax: 0.3}); err == nil {
 		t.Fatal("inverted bounds accepted")
 	}
 }
 
 func TestSearchMinEpsilonCompleteGraph(t *testing.T) {
 	g := gen.Complete(60)
-	eps, res, err := SearchFrontierContext(context.Background(), g, SearchOptions{Rho: 0.9, Seed: 4, ExpectedSample: 5})
+	eps, res, err := SearchCachedContext(context.Background(), g, SearchOptions{Rho: 0.9, Seed: 4, ExpectedSample: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // that makes it fast: the sampling coins depend only on (seed, node,
 // version) — a probe never draws a coin that depends on ε — so every
 // probe of the bisection shares the same samples, the same components,
-// the same voters, and the same member adjacency. SearchFrontierContext
+// the same voters, and the same member adjacency. SearchCachedContext
 // therefore runs the traversal ONCE (64-seed cluster floods over the
 // CSR arena, via collectComps), caches the ε-invariant state, and
 // re-evaluates only the K/T thresholds and the decision stage per
@@ -24,10 +24,10 @@ import (
 // (pinned by the search parity suite) — this path changes only what a
 // probe costs.
 
-// SearchFrontierContext bisects over ε with cached probes; see
+// SearchCachedContext bisects over ε with cached probes; see
 // the file comment. Cancellation is observed between probes and inside
 // the shared traversal; the error wraps the context error.
-func SearchFrontierContext(ctx context.Context, g *graph.Graph, so SearchOptions) (float64, *Result, error) {
+func SearchCachedContext(ctx context.Context, g *graph.Graph, so SearchOptions) (float64, *Result, error) {
 	so, need, err := so.normalized(g.N())
 	if err != nil {
 		return 0, nil, err

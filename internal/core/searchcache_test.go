@@ -13,7 +13,7 @@ import (
 	"nearclique/internal/graph"
 )
 
-// Search parity: the cached frontier bisection must return the same ε
+// Search parity: the cached bisection must return the same ε
 // and a bit-identical Result as the per-probe sequential search, because
 // the sampling coins never depend on ε — the cache re-evaluates only
 // thresholds and votes. These tests pin that equivalence end to end.
@@ -22,7 +22,7 @@ func searchParityOptions(seed int64) SearchOptions {
 	return SearchOptions{Rho: 0.05, ExpectedSample: 6, Versions: 2, Seed: seed}
 }
 
-func TestSearchFrontierMatchesSequentialSearch(t *testing.T) {
+func TestSearchCachedMatchesSequentialSearch(t *testing.T) {
 	type instance struct {
 		g    *graph.Graph
 		opts func(seed int64) SearchOptions
@@ -47,13 +47,13 @@ func TestSearchFrontierMatchesSequentialSearch(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			so := tc.opts(seed)
 			wantEps, wantRes, wantErr := SearchWithRunner(context.Background(), g, so, FindSequentialContext)
-			gotEps, gotRes, gotErr := SearchFrontierContext(context.Background(), g, so)
+			gotEps, gotRes, gotErr := SearchCachedContext(context.Background(), g, so)
 			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s seed %d: error mismatch: seq %v, frontier %v", name, seed, wantErr, gotErr)
+				t.Fatalf("%s seed %d: error mismatch: seq %v, cached %v", name, seed, wantErr, gotErr)
 			}
 			if wantErr != nil {
 				if !errors.Is(gotErr, ErrNotFound) || !errors.Is(wantErr, ErrNotFound) {
-					t.Fatalf("%s seed %d: unexpected errors: seq %v, frontier %v", name, seed, wantErr, gotErr)
+					t.Fatalf("%s seed %d: unexpected errors: seq %v, cached %v", name, seed, wantErr, gotErr)
 				}
 				continue
 			}
@@ -64,27 +64,27 @@ func TestSearchFrontierMatchesSequentialSearch(t *testing.T) {
 				t.Fatalf("%s seed %d: max component %d, want ≥ 4", name, seed, gotRes.MaxComponent)
 			}
 			if a, b := resultTranscript(gotRes, true), resultTranscript(wantRes, true); a != b {
-				t.Fatalf("%s seed %d: frontier search result diverges:\n%s\nvs\n%s", name, seed, a, b)
+				t.Fatalf("%s seed %d: cached search result diverges:\n%s\nvs\n%s", name, seed, a, b)
 			}
 		}
 	}
 }
 
-func TestSearchFrontierNotFoundParity(t *testing.T) {
+func TestSearchCachedNotFoundParity(t *testing.T) {
 	g := gen.Empty(300) // nothing to find at any ε
 	so := SearchOptions{Rho: 0.5, ExpectedSample: 6, Seed: 3}
 	_, _, seqErr := SearchWithRunner(context.Background(), g, so, FindSequentialContext)
-	_, _, froErr := SearchFrontierContext(context.Background(), g, so)
-	if !errors.Is(seqErr, ErrNotFound) || !errors.Is(froErr, ErrNotFound) {
-		t.Fatalf("want ErrNotFound from both paths, got seq %v, frontier %v", seqErr, froErr)
+	_, _, cachedErr := SearchCachedContext(context.Background(), g, so)
+	if !errors.Is(seqErr, ErrNotFound) || !errors.Is(cachedErr, ErrNotFound) {
+		t.Fatalf("want ErrNotFound from both paths, got seq %v, cached %v", seqErr, cachedErr)
 	}
 }
 
-func TestSearchFrontierCancellation(t *testing.T) {
+func TestSearchCachedCancellation(t *testing.T) {
 	g := gen.SparsePlantedNearClique(400, 120, 0.01, 8, 5).Graph
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := SearchFrontierContext(ctx, g, searchParityOptions(1))
+	_, _, err := SearchCachedContext(ctx, g, searchParityOptions(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
@@ -302,12 +302,12 @@ func TestSearchProbeDensityMatchesGraphDensity(t *testing.T) {
 	}
 }
 
-// TestSearchFrontierProbeAllocs pins the cached probe's allocation
+// TestSearchCachedProbeAllocs pins the cached probe's allocation
 // profile: after the shared traversal, a probe re-evaluates the K/T
 // kernel, the votes and the density check in preallocated buffers, and
 // allocates nothing. This is the enforcement
 // half of routing Search probes through pooled scratch.
-func TestSearchFrontierProbeAllocs(t *testing.T) {
+func TestSearchCachedProbeAllocs(t *testing.T) {
 	g := gen.SparsePlantedNearClique(2000, 200, 0.01, 8, 5).Graph
 	g.CSR()
 	so, need, err := SearchOptions{Rho: 0.025, ExpectedSample: 40, Versions: 2, Seed: 3}.normalized(g.N())
@@ -332,12 +332,12 @@ func TestSearchFrontierProbeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchFrontier times one cached ε bisection at the shape of
+// BenchmarkSearchCached times one cached ε bisection at the shape of
 // the repository benchmark's search workload: n = 1e5 with a planted
 // ε³-near clique of 1000 nodes (ε = 0.25) over average degree 12, four
 // versions each sampling one planted node in expectation. Iteration i
 // searches with coin seed i+1, so ns/op averages over seeds.
-func BenchmarkSearchFrontier(b *testing.B) {
+func BenchmarkSearchCached(b *testing.B) {
 	const n, size = 100_000, 1000
 	g := gen.SparsePlantedNearClique(n, size, 0.25*0.25*0.25, 12, 1).Graph
 	g.CSR()
@@ -352,7 +352,7 @@ func BenchmarkSearchFrontier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		so.Seed = int64(i + 1)
-		if _, _, err := SearchFrontierContext(context.Background(), g, so); err != nil && !errors.Is(err, ErrNotFound) {
+		if _, _, err := SearchCachedContext(context.Background(), g, so); err != nil && !errors.Is(err, ErrNotFound) {
 			b.Fatal(err)
 		}
 	}

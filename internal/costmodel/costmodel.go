@@ -1,8 +1,8 @@
 // Package costmodel fits a small per-request cost predictor from the
 // measurements the flight recorder and the serving path accumulate, and
-// answers the two questions admission control needs before a request
-// runs: roughly how expensive will this solve be (wall time, rounds,
-// payload bytes), and which engine is cheapest for it.
+// answers the question admission control needs before a request runs:
+// roughly how expensive will this solve be (wall time, rounds, payload
+// bytes) on the engine that executes it.
 //
 // The model is deliberately tiny — per-engine log-space regressions and
 // geometric means over normalized ratios — because it must be trained
@@ -48,16 +48,16 @@ import (
 )
 
 // minSamples is how many observations an engine needs before its
-// predictions are trusted for admission pricing or engine selection.
+// predictions are trusted for admission pricing.
 const minSamples = 8
 
 // Features are the request-time facts the model predicts from. All of
 // them are known before the solve runs: graph size from the registry
 // snapshot, the rest from canonicalized request parameters.
 type Features struct {
-	// Engine is the canonical engine name ("seq", "sharded", "async");
-	// "auto" is not a Features engine — resolve it first (the server uses
-	// PickEngine).
+	// Engine is the canonical name of the engine that executes ("seq",
+	// "sharded", "shadow"); "auto" is not a Features engine, since auto
+	// runs the sequential replay, so callers pass "seq" for it.
 	Engine string
 	// N and M are the graph's node and undirected edge counts.
 	N, M int
@@ -246,10 +246,6 @@ func (m *Model) Observe(f Features, rounds, payloadBytes, wallNS int64) {
 func (m *Model) Predict(f Features) Prediction {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.predictLocked(f)
-}
-
-func (m *Model) predictLocked(f Features) Prediction {
 	st := m.engines[f.Engine]
 	if st == nil {
 		return Prediction{}
@@ -269,29 +265,6 @@ func (m *Model) predictLocked(f Features) Prediction {
 		p.Bytes = math.Exp(st.LogBytesPerWork.Mean) * work
 	}
 	return p
-}
-
-// PickEngine resolves engine=auto: among candidates, the one with the
-// lowest reliable predicted wall time, or "" when no candidate has
-// enough samples yet (callers then fall back to the static default).
-// Ties break toward the earlier candidate, so pass candidates in
-// preference order.
-func (m *Model) PickEngine(f Features, candidates []string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	best, bestNS := "", math.Inf(1)
-	for _, eng := range candidates {
-		ff := f
-		ff.Engine = eng
-		p := m.predictLocked(ff)
-		if !p.Reliable() {
-			continue
-		}
-		if p.NS < bestNS {
-			best, bestNS = eng, p.NS
-		}
-	}
-	return best
 }
 
 // Samples returns the total honest observations across engines.

@@ -82,28 +82,6 @@ func TestRefineTrackedSeparately(t *testing.T) {
 	}
 }
 
-func TestPickEngine(t *testing.T) {
-	m := New()
-	f := feat("", 1000, 4000, 1)
-	// No data: no pick.
-	if got := m.PickEngine(f, []string{"seq", "sharded"}); got != "" {
-		t.Fatalf("PickEngine on empty model = %q, want \"\"", got)
-	}
-	slow, fast := feat("sharded", 1000, 4000, 1), feat("seq", 1000, 4000, 1)
-	for i := 0; i < minSamples; i++ {
-		m.Observe(slow, 40, 1<<16, 50_000_000)
-		m.Observe(fast, 0, 0, 1_000_000)
-	}
-	if got := m.PickEngine(f, []string{"seq", "sharded"}); got != "seq" {
-		t.Fatalf("PickEngine = %q, want seq", got)
-	}
-	// A candidate with too few samples is skipped, not preferred.
-	m.Observe(feat("async", 1000, 4000, 1), 40, 1<<16, 1)
-	if got := m.PickEngine(f, []string{"async", "seq"}); got != "seq" {
-		t.Fatalf("PickEngine with under-sampled cheap engine = %q, want seq", got)
-	}
-}
-
 func TestDishonestSamplesIgnored(t *testing.T) {
 	m := New()
 	f := feat("seq", 1000, 4000, 1)
@@ -220,7 +198,6 @@ func TestConcurrentObservePredict(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				m.Observe(f, 30, 1<<16, 5_000_000)
 				m.Predict(f)
-				m.PickEngine(f, []string{"seq", "sharded"})
 			}
 		}(w)
 	}

@@ -277,13 +277,6 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		s.writeAdmissionError(w, admitErr)
 		return
 	}
-	s.finishSolve(out, feat)
-	if s.cache.enabled() {
-		s.cache.recordMiss()
-		ent.misses.Add(1)
-	}
-	if params.flight == 0 && out.cacheable {
-		s.cache.put(key, out.body)
-	}
+	s.finishSolve(out, feat, ent, key, params.flight > 0)
 	writeRun(w, out.status, out.body, "miss")
 }

@@ -373,3 +373,67 @@ func TestSolveFlightSampling(t *testing.T) {
 		t.Errorf("flight:-1 status %d, want 400", status)
 	}
 }
+
+// TestAutoRunsReplayWhateverTheModel: engine=auto always runs the
+// sequential replay. A model holding enough honest samples in which
+// sharded is far cheaper than seq for the test graph must not move an
+// auto request onto sharded, on /v1/solve or /v1/batch: the body stays
+// the replay's (engine "auto", no rounds, no frames) and equals an
+// unseeded server's body apart from wall_ns. Both answers share one
+// cache key, so anything else would make a cached body depend on the
+// model's state.
+func TestAutoRunsReplayWhateverTheModel(t *testing.T) {
+	path := writeTestSnapshot(t)
+	serve := func(seedModel bool) (solve, batch []byte) {
+		s := New(Config{Concurrency: 1, QueueDepth: 4, CacheBytes: -1})
+		defer s.Close()
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		g, err := s.LoadGraph("g", path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seedModel {
+			sharded := costmodel.Features{Engine: "sharded", N: g.N, M: g.M, Epsilon: 0.25, Sample: 6, Versions: 1}
+			seq := sharded
+			seq.Engine = "seq"
+			for i := 0; i < 16; i++ {
+				s.cost.Observe(sharded, 26, 1<<16, 1_000)
+				s.cost.Observe(seq, 0, 0, 1_000_000_000)
+			}
+			if ps, pq := s.cost.Predict(sharded), s.cost.Predict(seq); !ps.Reliable() || !pq.Reliable() || ps.NS >= pq.NS {
+				t.Fatalf("seeding failed: sharded %+v, seq %+v", ps, pq)
+			}
+		}
+		status, solve, _ := post(t, ts.URL+"/v1/solve", `{"graph":"g","engine":"auto","seed":1}`)
+		if status != http.StatusOK {
+			t.Fatalf("solve: status %d body %s", status, solve)
+		}
+		status, batch, _ = post(t, ts.URL+"/v1/batch", `{"requests":[{"graph":"g","engine":"auto","seed":1}]}`)
+		if status != http.StatusOK {
+			t.Fatalf("batch: status %d body %s", status, batch)
+		}
+		return solve, batch
+	}
+	seededSolve, seededBatch := serve(true)
+	plainSolve, plainBatch := serve(false)
+	for _, c := range []struct {
+		name          string
+		seeded, plain []byte
+	}{{"solve", seededSolve, plainSolve}, {"batch", seededBatch, plainBatch}} {
+		var run report.Run
+		if err := json.Unmarshal(c.seeded, &run); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if run.Engine != "auto" || run.Rounds != 0 || run.Frames != 0 {
+			t.Fatalf("%s: seeded model moved auto off the replay: engine %q, rounds %d, frames %d",
+				c.name, run.Engine, run.Rounds, run.Frames)
+		}
+		if len(run.Candidates) == 0 {
+			t.Fatalf("%s: no candidates on the planted graph: %s", c.name, c.seeded)
+		}
+		if got, want := stripWall(t, c.seeded), stripWall(t, c.plain); got != want {
+			t.Fatalf("%s: seeded body differs from unseeded:\n%s\n%s", c.name, got, want)
+		}
+	}
+}

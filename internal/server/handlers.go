@@ -395,13 +395,6 @@ func (s *Server) admitRun(ctx context.Context, timeout time.Duration, tr *obs.Tr
 	return out, nil
 }
 
-// admitAndSolve is admitRun specialized to the solve path.
-func (s *Server) admitAndSolve(ctx context.Context, solver *nearclique.Solver, p solveParams, ent *entry, feat costmodel.Features) (outcome, error) {
-	return s.admitRun(ctx, p.timeout, p.trace, feat, func(ctx context.Context) outcome {
-		return s.safeSolve(ctx, solver, p, ent)
-	})
-}
-
 // observeWait records the admission wait — submit to execution start — in
 // the wait histogram and, for traced requests, as the admission-wait
 // span. Runs on the worker goroutine at job start (or inline on the fast
@@ -423,52 +416,20 @@ func (s *Server) cheapPredicted(f costmodel.Features) bool {
 	return pred.Reliable() && pred.NS <= float64(s.cfg.CheapSolveNS)
 }
 
-// autoCandidates are the engines engine=auto chooses among, in
-// preference order: the centralized replay (the static default) and the
-// sharded simulator — the serving-grade executors. The cost model picks
-// whichever it reliably predicts cheaper for the request's features, the
-// first on a tie.
-var autoCandidates = []string{"seq", "sharded"}
-
-// resolveAuto resolves engine=auto for a request against a known graph:
-// the cost model picks the cheapest reliably-predicted engine; with too
-// few samples the static default (the sequential replay) stands and the
-// params are returned unchanged. The cache key is always built from the
-// requested canonical params — "auto" — before this resolution, so model
-// drift never splits or aliases cache entries; the first executed
-// response freezes whichever engine ran, consistent with how wall_ns is
-// frozen at first miss.
-func (s *Server) resolveAuto(p solveParams, ent *entry) solveParams {
-	if p.engine != nearclique.EngineAuto {
-		return p
-	}
-	if picked := s.cost.PickEngine(s.features("", ent, p), autoCandidates); picked != "" {
-		if eng, err := nearclique.ParseEngine(picked); err == nil {
-			p.engine = eng
-		}
-	}
-	return p
-}
-
-// executedEngineName is the canonical engine the params actually run on:
-// EngineAuto executes the sequential replay when the model makes no pick.
-func executedEngineName(e nearclique.Engine) string {
-	if e == nearclique.EngineAuto {
-		return "seq"
-	}
-	return e.String()
-}
-
 // features assembles the cost-model features for a resolved request on a
-// registered graph; engine is the canonical executed-engine name ("" for
-// a not-yet-resolved auto request being priced per candidate).
-func (s *Server) features(engine string, ent *entry, p solveParams) costmodel.Features {
+// registered graph. engine=auto runs the sequential replay, so it is
+// priced and trained as "seq".
+func (s *Server) features(ent *entry, p solveParams) costmodel.Features {
+	engine := p.engine
+	if engine == nearclique.EngineAuto {
+		engine = nearclique.EngineSequential
+	}
 	sample := p.sample
 	if p.p > 0 {
 		sample = p.p * float64(ent.g.N())
 	}
 	return costmodel.Features{
-		Engine:   engine,
+		Engine:   engine.String(),
 		N:        ent.g.N(),
 		M:        ent.g.M(),
 		Epsilon:  p.eps,
@@ -478,17 +439,26 @@ func (s *Server) features(engine string, ent *entry, p solveParams) costmodel.Fe
 	}
 }
 
-// finishSolve is the post-run bookkeeping every executed solve shares,
-// on the solve and batch paths alike: honest cost-model training (clean
-// completed runs only — cache hits return before this point and failed
-// or aborted runs are excluded, so replays and pathologies can never
-// drag predicted costs) and the /statz flight aggregate for traced runs.
-func (s *Server) finishSolve(out outcome, feat costmodel.Features) {
+// finishSolve is the post-run bookkeeping every executed run shares, on
+// the solve, batch and count paths alike: honest cost-model training
+// (clean completed runs only — cache hits return before this point and
+// failed or aborted runs are excluded, so replays and pathologies can
+// never drag predicted costs), the /statz flight aggregate for traced
+// runs, miss accounting, and the cache fill. Traced runs never fill the
+// cache: their bodies embed a per-run trace.
+func (s *Server) finishSolve(out outcome, feat costmodel.Features, ent *entry, key string, traced bool) {
 	if out.cacheable {
 		s.cost.Observe(feat, out.rounds, out.payloadBytes, out.wallNS)
 	}
 	if out.flight != nil {
 		s.flights.merge(out.flight, out.rounds, out.frames, out.payloadBytes)
+	}
+	if s.cache.enabled() {
+		s.cache.recordMiss()
+		ent.misses.Add(1)
+	}
+	if !traced && out.cacheable {
+		s.cache.put(key, out.body)
 	}
 }
 
@@ -524,13 +494,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer ent.release()
 
 	// Cache lookup before Solver construction: the key is built from
-	// resolved values — for engine=auto, before model resolution, so the
-	// key is stable while the model drifts — and only validated,
-	// completed runs populate it, so invalid parameters can never
-	// produce a hit — and a hit skips the option-validation allocations
-	// entirely. Traced requests (flight > 0) bypass the lookup: their
-	// bodies embed a per-run trace a frozen replay could not honestly
-	// carry.
+	// resolved values and only validated, completed runs populate it,
+	// so invalid parameters can never produce a hit — and a hit skips
+	// the option-validation allocations entirely. Traced requests
+	// (flight > 0) bypass the lookup: their bodies embed a per-run trace
+	// a frozen replay could not honestly carry.
 	if params.flight > 0 {
 		// Trace epoch = handling start. The id goes out as a header on
 		// every traced response — including error paths below — and the
@@ -549,7 +517,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	params.trace.Span("cache-lookup", lookupStart, time.Now())
-	params = s.resolveAuto(params, ent)
 	if params.flight > 0 {
 		params.flightRec = flight.New(s.cfg.FlightCapacity)
 	}
@@ -559,8 +526,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	feat := s.features(executedEngineName(params.engine), ent, params)
-	out, admitErr := s.admitAndSolve(r.Context(), solver, params, ent, feat)
+	feat := s.features(ent, params)
+	out, admitErr := s.admitRun(r.Context(), params.timeout, params.trace, feat, func(ctx context.Context) outcome {
+		return s.safeSolve(ctx, solver, params, ent)
+	})
 	if admitErr != nil {
 		// Shed before any work: not a cache miss — /statz keeps
 		// misses == executed solves, so hit ratios stay meaningful
@@ -568,14 +537,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeAdmissionError(w, admitErr)
 		return
 	}
-	s.finishSolve(out, feat)
-	if s.cache.enabled() {
-		s.cache.recordMiss()
-		ent.misses.Add(1)
-	}
-	if params.flight == 0 && out.cacheable {
-		s.cache.put(key, out.body)
-	}
+	s.finishSolve(out, feat, ent, key, params.flight > 0)
 	writeRun(w, out.status, out.body, "miss")
 }
 
@@ -717,9 +679,9 @@ func (s *Server) solveItem(ctx context.Context, admitted time.Time, req SolveReq
 		return errorRunLine(params.engine.String(), time.Since(itemStart), err)
 	}
 	defer ent.release()
-	// Cache key from the requested canonical params, trace bypass, auto
-	// resolution, miss accounting, cost-model training: all mirror
-	// /v1/solve exactly, so the two paths can never disagree in /statz.
+	// Cache key from the requested canonical params, trace bypass, miss
+	// accounting, cost-model training: all mirror /v1/solve exactly, so
+	// the two paths can never disagree in /statz.
 	key := cacheKey(ent.digest, params)
 	lookupStart := time.Now()
 	if params.flight == 0 {
@@ -729,14 +691,10 @@ func (s *Server) solveItem(ctx context.Context, admitted time.Time, req SolveReq
 		}
 	}
 	params.trace.Span("cache-lookup", lookupStart, time.Now())
-	if resolved := s.resolveAuto(params, ent); resolved.engine != params.engine || params.flight > 0 {
-		// The solver prevalidated at batch intake assumed the static
-		// default and no recorder; rebuild it for the resolved engine
-		// and/or the per-item trace ring.
-		params = resolved
-		if params.flight > 0 {
-			params.flightRec = flight.New(s.cfg.FlightCapacity)
-		}
+	if params.flight > 0 {
+		// The solver prevalidated at batch intake has no recorder;
+		// rebuild it around the per-item trace ring.
+		params.flightRec = flight.New(s.cfg.FlightCapacity)
 		rebuilt, err := params.solver(s.cfg.Concurrency)
 		if err != nil {
 			return errorRunLine(params.engine.String(), time.Since(itemStart), err)
@@ -749,14 +707,7 @@ func (s *Server) solveItem(ctx context.Context, admitted time.Time, req SolveReq
 		defer cancel()
 	}
 	out := s.safeSolve(ctx, solver, params, ent)
-	s.finishSolve(out, s.features(executedEngineName(params.engine), ent, params))
-	if s.cache.enabled() {
-		s.cache.recordMiss()
-		ent.misses.Add(1)
-	}
-	if params.flight == 0 && out.cacheable {
-		s.cache.put(key, out.body)
-	}
+	s.finishSolve(out, s.features(ent, params), ent, key, params.flight > 0)
 	return out.body
 }
 

@@ -32,7 +32,7 @@ const (
 	// members' rows alone; with a flight recorder attached it emits one
 	// round event per traversal wave. Search runs that traversal once and
 	// re-evaluates only the ε-dependent thresholds per probe
-	// (core.SearchFrontierContext), since the sampling coins never depend
+	// (core.SearchCachedContext), since the sampling coins never depend
 	// on ε.
 	EngineSequential
 	// EngineSharded is the sharded flat-buffer CONGEST simulator
@@ -614,7 +614,7 @@ func (s *Solver) Search(ctx context.Context, g *Graph, rho float64) (float64, *R
 	case EngineShadow:
 		return 0, nil, errors.New("nearclique: engine=shadow serves Count/Sample, not Search")
 	case EngineAuto, EngineSequential:
-		eps, res, err = core.SearchFrontierContext(ctx, g, so)
+		eps, res, err = core.SearchCachedContext(ctx, g, so)
 	case EngineSharded, EngineAsync:
 		eps, res, err = core.SearchWithRunner(ctx, g, so,
 			func(ctx context.Context, g *Graph, opts core.Options) (*Result, error) {

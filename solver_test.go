@@ -90,11 +90,11 @@ func TestSolverIsReusableAndDeterministic(t *testing.T) {
 	}
 }
 
-// TestSolverSearchMatchesCoreSearchFrontier: a default Solver's Search is
-// the cached bisection core.SearchFrontierContext at the same seed.
-func TestSolverSearchMatchesCoreSearchFrontier(t *testing.T) {
+// TestSolverSearchMatchesCoreSearchCached: a default Solver's Search is
+// the cached bisection core.SearchCachedContext at the same seed.
+func TestSolverSearchMatchesCoreSearchCached(t *testing.T) {
 	g := genPlanted(t, 240, 90, 0.01, 0.03, 13).Graph
-	eps1, res1, err1 := core.SearchFrontierContext(context.Background(), g, core.SearchOptions{Rho: 0.3, Seed: 13})
+	eps1, res1, err1 := core.SearchCachedContext(context.Background(), g, core.SearchOptions{Rho: 0.3, Seed: 13})
 	s, err := nearclique.New(nearclique.WithSeed(13))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestSolverSearchMatchesCoreSearchFrontier(t *testing.T) {
 			t.Fatalf("ε mismatch: %v vs %v", eps1, eps2)
 		}
 		if len(res1.Best().Members) != len(res2.Best().Members) {
-			t.Fatal("result mismatch between core.SearchFrontierContext and Solver.Search")
+			t.Fatal("result mismatch between core.SearchCachedContext and Solver.Search")
 		}
 	}
 }
@@ -233,7 +233,7 @@ func TestSearchHonorsSamplingProbability(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps1, _, err1 := s.Search(context.Background(), g, 0.3)
-	eps2, _, err2 := core.SearchFrontierContext(context.Background(), g, core.SearchOptions{
+	eps2, _, err2 := core.SearchCachedContext(context.Background(), g, core.SearchOptions{
 		Rho: 0.3, Seed: 13, ExpectedSample: p * float64(g.N()),
 	})
 	if (err1 == nil) != (err2 == nil) || (err1 == nil && eps1 != eps2) {
