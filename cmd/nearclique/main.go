@@ -236,7 +236,7 @@ type countConfig struct {
 // runCount executes the counting path: estimate the k-clique and
 // (k,ε)-near-clique counts by Turán-shadow sampling and print them with
 // their Hoeffding bounds — or, with -json, the CountRun schema shared
-// with /v1/count and cmd/bench -count.
+// with /v1/count.
 func runCount(g *nearclique.Graph, engine nearclique.Engine, cc countConfig, stdout, stderr io.Writer) int {
 	opts := []nearclique.Option{
 		nearclique.WithEngine(engine),

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"nearclique/internal/bitset"
-	"nearclique/internal/flight"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
 )
@@ -112,85 +110,6 @@ func TestSearchWithRunnerEngineParity(t *testing.T) {
 	}
 	if a, b := resultTranscript(shRes, false), resultTranscript(seqRes, false); a != b {
 		t.Fatalf("sharded-probe search output diverges:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestFindFrontierMatchesSequentialAcrossGOMAXPROCS extends the engine
-// determinism suite to the replay every centralized Solve engine runs:
-// at every GOMAXPROCS setting its outputs equal the sharded simulator's,
-// and its transcript, including the all-zero metrics block, is
-// bit-identical.
-func TestFindFrontierMatchesSequentialAcrossGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	base := Options{Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 2}
-	for name, g := range determinismInstances() {
-		dist, err := Find(g, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := resultTranscript(dist, false)
-		var full string
-		for _, procs := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			res, err := FindSequential(g, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := resultTranscript(res, false); got != want {
-				t.Fatalf("%s GOMAXPROCS=%d: replay diverges from the simulator:\n%s\nvs\n%s",
-					name, procs, got, want)
-			}
-			if got := resultTranscript(res, true); full == "" {
-				full = got
-			} else if got != full {
-				t.Fatalf("%s GOMAXPROCS=%d: replay transcript differs from GOMAXPROCS=1", name, procs)
-			}
-		}
-	}
-}
-
-// TestFindFrontierFlightRoundEvents pins the flight contract of the
-// replay: every traversal wave emits one KindRound event carrying a
-// nonzero frontier popcount, and phases carry their wave counts.
-func TestFindFrontierFlightRoundEvents(t *testing.T) {
-	g := gen.SparsePlantedNearClique(400, 120, 0.01, 8, 5).Graph
-	rec := flight.New(4096)
-	_, err := FindSequential(g, Options{
-		Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 2, Flight: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds, phases := 0, 0
-	var lastRound int64
-	for _, ev := range rec.Snapshot() {
-		switch ev.Kind {
-		case flight.KindRound:
-			rounds++
-			if ev.Frontier <= 0 {
-				t.Fatalf("round event %d has frontier popcount %d", rounds, ev.Frontier)
-			}
-			if ev.Frames <= 0 && ev.Frontier > 0 {
-				// A wave over isolated sampled vertices can examine zero
-				// arena entries; anything else must count frames.
-				continue
-			}
-			if ev.Round <= lastRound {
-				t.Fatalf("round index not increasing: %d after %d", ev.Round, lastRound)
-			}
-			lastRound = ev.Round
-			if ev.Bytes != 4*ev.Frames {
-				t.Fatalf("round payload %d != 4×frames %d", ev.Bytes, ev.Frames)
-			}
-		case flight.KindPhase:
-			phases++
-		}
-	}
-	if rounds == 0 {
-		t.Fatal("replay emitted no per-wave round events")
-	}
-	if phases < 3 { // two explore versions + decide
-		t.Fatalf("replay emitted %d phase events, want ≥ 3", phases)
 	}
 }
 

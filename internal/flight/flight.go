@@ -10,7 +10,8 @@
 // Design constraints, in priority order:
 //
 //  1. Recording must never block or slow an engine round beyond noise
-//     (cmd/bench -flight pins the overhead under 2% at n=1e5). Record is
+//     (cmd/ncbench's traced pass, which attaches a recorder, reports
+//     trace.latency_p50_ms beside the untraced latency_p50_ms). Record is
 //     one atomic ticket increment, one CAS claim, a struct store, and a
 //     release store — no locks, no allocation, no syscalls.
 //  2. Recording must not perturb the determinism contract: the recorder

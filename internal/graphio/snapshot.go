@@ -367,7 +367,8 @@ func (s *Snapshot) Close() error {
 // solve graph. The open cost is header validation plus one sequential
 // checksum/invariant pass over the mapped bytes — no parsing, no per-node
 // allocation — so a million-node graph opens in milliseconds where the
-// text edge-list parse takes seconds (BENCH_graph.json). On platforms
+// text edge-list parse takes seconds (TestSnapshotOpenBeatsTextParse
+// pins the allocation bound and the ordering). On platforms
 // without mmap (or when the mapping fails) the file is read into memory
 // instead; the decode path is identical.
 func OpenSnapshot(path string) (*Snapshot, error) {

@@ -7,8 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
+	"nearclique/internal/expt"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
 )
@@ -131,6 +134,68 @@ func TestLoadDispatch(t *testing.T) {
 	if _, _, err := Load(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("Load of a missing file succeeded")
 	}
+}
+
+// TestSnapshotOpenBeatsTextParse: on the quick E13 planted shape (n=5000,
+// a 300-node planted set, average degree 10) opening the `.ncsr` snapshot
+// makes O(1) allocations (at most 1000) and is faster than parsing the
+// same graph as an edge list. Each path is timed best of three.
+func TestSnapshotOpenBeatsTextParse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load timing in -short mode")
+	}
+	g := expt.ScaleInstance(expt.ScalePoint{N: 5_000, Size: 300, AvgDeg: 10}, 1).Graph
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "g.ncsr")
+	if err := WriteSnapshotFile(snapPath, g); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	textPath := filepath.Join(dir, "g.edges")
+	if err := os.WriteFile(textPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// load returns the best-of-three wall time and that run's allocations.
+	load := func(path string) (time.Duration, uint64) {
+		var best time.Duration
+		var allocs uint64
+		for i := 0; i < 3; i++ {
+			var ms0, ms1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms0)
+			start := time.Now()
+			got, closeFn, err := Load(path)
+			wall := time.Since(start)
+			runtime.ReadMemStats(&ms1)
+			if err != nil {
+				t.Fatalf("Load(%s): %v", path, err)
+			}
+			if got.N() != g.N() || got.M() != g.M() {
+				t.Fatalf("%s: loaded (%d,%d), want (%d,%d)", path, got.N(), got.M(), g.N(), g.M())
+			}
+			if err := closeFn(); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 || wall < best {
+				best, allocs = wall, ms1.Mallocs-ms0.Mallocs
+			}
+		}
+		return best, allocs
+	}
+	textWall, _ := load(textPath)
+	snapWall, snapAllocs := load(snapPath)
+	if snapAllocs > 1000 {
+		t.Errorf("snapshot open allocated %d times; the path is supposed to be O(1) allocations", snapAllocs)
+	}
+	if snapWall >= textWall {
+		t.Errorf("snapshot open (%v) not faster than the text parse (%v)", snapWall, textWall)
+	}
+	t.Logf("text %v, snapshot %v (%.1fx), snapshot allocs %d",
+		textWall, snapWall, float64(textWall)/float64(snapWall), snapAllocs)
 }
 
 // TestSnapshotDecodeRejectsCorruption drives the decoder through every

@@ -230,11 +230,13 @@ func FlightFromRecorder(rec *flight.Recorder, maxEvents int) *FlightSample {
 	return s
 }
 
-// Measurement is the cmd/bench record: one timed workload on one engine,
-// with the derived rates cmd/bench historically reported. HeapBytes is
-// the runtime.ReadMemStats heap growth across the measured run (GC'd
-// immediately before), so regressions in working-set size show up next to
-// the wall-time ones.
+// Measurement is the cmd/bench record (BENCH_engine.json): one timed
+// workload on one engine. Simulator rows (gossip, find) carry the
+// protocol counters and the rates derived from them; count rows carry the
+// estimate columns instead, and leave the simulator columns out rather
+// than report zeros. HeapBytes is the runtime.ReadMemStats heap growth
+// across the measured run (GC'd immediately before), so regressions in
+// working-set size show up next to the wall-time ones.
 type Measurement struct {
 	Workload    string `json:"workload"`
 	Engine      string `json:"engine"`
@@ -243,95 +245,18 @@ type Measurement struct {
 	M           int    `json:"m"`
 	Cost
 	HeapBytes    uint64  `json:"heap_bytes"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	MBytesPerSec float64 `json:"payload_mb_per_sec"`
+	RoundsPerSec float64 `json:"rounds_per_sec,omitempty"`
+	MBytesPerSec float64 `json:"payload_mb_per_sec,omitempty"`
 	Allocs       uint64  `json:"allocs"`
-	AllocsPerRnd float64 `json:"allocs_per_round"`
+	AllocsPerRnd float64 `json:"allocs_per_round,omitempty"`
 	RecoveredPct float64 `json:"recovered_pct,omitempty"`
-	// Batched ε-Search throughput (cmd/bench -search-batch rows only):
-	// Searches full bisections over independent coin seeds, Probes the
-	// total probe runs they issued, with throughput and the cached
-	// search's advantage over per-probe sharded simulation derived.
-	Searches       int     `json:"searches,omitempty"`
-	Probes         int     `json:"probes,omitempty"`
-	ProbesPerSec   float64 `json:"probes_per_sec,omitempty"`
-	SeedsPerSec    float64 `json:"seeds_per_sec,omitempty"`
-	FoundEps       float64 `json:"found_eps,omitempty"`
-	SpeedupSharded float64 `json:"speedup_vs_sharded,omitempty"`
-	// Counting-workload fields (cmd/bench -count rows only): the query
-	// shape, the resulting estimates, and the sampling throughput.
+	// Counting-workload fields (count rows only): the query shape, the
+	// resulting estimates, and the sampling throughput.
 	K             int     `json:"k,omitempty"`
 	CountSamples  int     `json:"count_samples,omitempty"`
 	Cliques       float64 `json:"cliques,omitempty"`
 	NearCliques   float64 `json:"near_cliques,omitempty"`
 	SamplesPerSec float64 `json:"samples_per_sec,omitempty"`
-}
-
-// RefineMeasurement is the cmd/bench -refine record (BENCH_refine.json):
-// base vs refined candidate quality on one planted-clique workload,
-// aggregated over a grid of seeds. ImprovedPct is the fraction of seeds
-// whose refined best candidate kept at least the base density while
-// strictly growing in size or density — the quality axis the refinement
-// subsystem is tracked by.
-type RefineMeasurement struct {
-	Workload           string  `json:"workload"`
-	Engine             string  `json:"engine"`
-	Refine             string  `json:"refine"`
-	GraphDigest        string  `json:"graph_digest,omitempty"`
-	N                  int     `json:"n"`
-	M                  int     `json:"m"`
-	Seeds              int     `json:"seeds"`
-	ImprovedPct        float64 `json:"improved_pct"`
-	MeanBaseSize       float64 `json:"mean_base_size"`
-	MeanRefinedSize    float64 `json:"mean_refined_size"`
-	MeanBaseDensity    float64 `json:"mean_base_density"`
-	MeanRefinedDensity float64 `json:"mean_refined_density"`
-	MeanMoves          float64 `json:"mean_moves"`
-	BaseRecoveredPct   float64 `json:"base_recovered_pct,omitempty"`
-	RecoveredPct       float64 `json:"recovered_pct,omitempty"`
-	SolveWallNS        int64   `json:"solve_wall_ns"`
-	RefineWallNS       int64   `json:"refine_wall_ns"`
-}
-
-// FlightMeasurement is the cmd/bench -flight record (BENCH_flight.json):
-// one workload solved with the flight recorder detached and attached,
-// best-of-k each, pinning the recorder's overhead. Transcript digests of
-// the two runs must match — recording is observational by contract — and
-// OverheadPct is the on-vs-off wall-time delta the <2% budget gates.
-type FlightMeasurement struct {
-	Workload      string  `json:"workload"`
-	Engine        string  `json:"engine"`
-	GraphDigest   string  `json:"graph_digest,omitempty"`
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	Capacity      int     `json:"capacity"`
-	OffWallNS     int64   `json:"off_wall_ns"`
-	OnWallNS      int64   `json:"on_wall_ns"`
-	OverheadPct   float64 `json:"overhead_pct"`
-	Rounds        int64   `json:"rounds"`
-	EventsOffered uint64  `json:"events_offered"`
-	EventsDropped uint64  `json:"events_dropped"`
-	DigestsMatch  bool    `json:"digests_match"`
-}
-
-// LoadMeasurement is the cmd/bench -load record (BENCH_graph.json): one
-// graph-load measurement of one on-disk format, comparing the text
-// edge-list parse path against the `.ncsr` snapshot-mmap path at equal
-// graph shape. HeapBytes and Allocs come from runtime.ReadMemStats around
-// the load; SpeedupVsText is wall-time relative to the "text" record of
-// the same workload.
-type LoadMeasurement struct {
-	Workload      string  `json:"workload"`
-	Format        string  `json:"format"` // "text" | "snap"
-	GraphDigest   string  `json:"graph_digest,omitempty"`
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	FileBytes     int64   `json:"file_bytes"`
-	WallNS        int64   `json:"wall_ns"`
-	HeapBytes     uint64  `json:"heap_bytes"`
-	Allocs        uint64  `json:"allocs"`
-	MBPerSec      float64 `json:"file_mb_per_sec"`
-	SpeedupVsText float64 `json:"speedup_vs_text,omitempty"`
 }
 
 // FromResult assembles a Run from a solve outcome. res may carry partial

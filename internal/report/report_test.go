@@ -37,6 +37,25 @@ func TestSharedCostBlockIsFlat(t *testing.T) {
 	}
 }
 
+// TestMeasurementCountRowOmitsSimulatorRates: a count row has no
+// simulated rounds, so its derived simulator rates are left out rather
+// than written as zeros that read as "not measured".
+func TestMeasurementCountRowOmitsSimulatorRates(t *testing.T) {
+	enc, err := json.Marshal(Measurement{Workload: "count", Engine: "shadow", K: 4, SamplesPerSec: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flat map[string]interface{}
+	if err := json.Unmarshal(enc, &flat); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"rounds_per_sec", "payload_mb_per_sec", "allocs_per_round"} {
+		if _, ok := flat[key]; ok {
+			t.Errorf("count row carries %q: %s", key, enc)
+		}
+	}
+}
+
 func TestFromResultCarriesPartialsAndErrors(t *testing.T) {
 	g := gen.ErdosRenyi(60, 0.1, 1)
 	res, err := core.Find(g, core.Options{Epsilon: 0.3, ExpectedSample: 5, Seed: 2})
