@@ -66,3 +66,30 @@ func FuzzSearchProbeDensity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTranspose64 checks the 64×64 bit transpose the voter rows are
+// mirrored by: data fills the rows little-endian, zero past its end;
+// bit c of row r moves to bit r of row c, and transposing twice gives
+// back the input.
+func FuzzTranspose64(f *testing.F) {
+	f.Add([]byte{1})
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0xff, 0x0f, 0xf0, 0x55, 0xaa, 0x33, 0xcc, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var in [64]uint64
+		for i, b := range data[:min(len(data), 512)] {
+			in[i/8] |= uint64(b) << uint(8*(i%8))
+		}
+		out := in
+		transpose64(&out)
+		for r := 0; r < 64; r++ {
+			for c := 0; c < 64; c++ {
+				if in[r]>>uint(c)&1 != out[c]>>uint(r)&1 {
+					t.Fatalf("bit (%d,%d) is %d, its transpose (%d,%d) is %d", r, c, in[r]>>uint(c)&1, c, r, out[c]>>uint(r)&1)
+				}
+			}
+		}
+		if transpose64(&out); out != in {
+			t.Fatal("transposing twice changed the matrix")
+		}
+	})
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/graph"
@@ -24,8 +25,12 @@ import (
 // planted near-clique. Its voter-induced subgraph G[V], as |V|-bit rows
 // in voter-position order, turns the histogram into popcount(row ∧
 // class set) per class and every T-set density into Σ_{i∈T}
-// popcount(row_i ∧ T). A sparse component — a hub whose rows would
-// outweigh its adjacency — counts entry by entry and keeps no rows.
+// popcount(row_i ∧ T). G[V] is symmetric and voters are sorted, so a
+// voter's neighbors at higher positions are the suffix of its sorted
+// adjacency above it: the rows are filled from those suffixes alone —
+// the upper triangle, half the adjacency — and then mirrored by 64×64
+// bit transposes. A sparse component — a hub whose rows would outweigh
+// its adjacency — counts entry by entry and keeps no rows.
 // Only a component that can announce a candidate has K/T tables at all
 // (seqComp.canAnnounce).
 
@@ -66,8 +71,9 @@ type ktScratch struct {
 	masks     []uint32 // per voter, while building
 	classOf   []int32  // mask -> class+1, 0 = unseen; reset after each build
 	classSets []uint64 // per class, rowWords words: its voters, while building rows
+	suffix    []int32  // per voter, with rows: where its adjacency above it starts
 	hparts    []histPart
-	split     splitter // the histogram's voter runs; the density's runs without rows
+	split     splitter // the fill's and the histogram's voter runs; the density's runs without rows
 
 	tset   []uint64 // a density check's T set by voter position
 	tnodes []int    // a density check's T set as nodes, without rows
@@ -88,8 +94,9 @@ type histPart struct {
 
 // buildKT captures the component's mask classes and class histograms,
 // and its voter rows when rows is set (denseRows). sc.members and
-// sc.voters must be set. The histograms and rows, most of the work, are
-// built in up to par runs of voters of near-equal Σ deg.
+// sc.voters must be set. The rows' upper triangle is filled in up to par
+// runs of voters of near-equal suffix length, then mirrored; the
+// histograms are then counted in up to par runs of near-equal Σ deg.
 func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int, rows bool) {
 	voters := sc.voters
 	pos := x.voterPos
@@ -111,7 +118,9 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int, rows bool) {
 	if need := 1 << uint(len(sc.members)); len(x.classOf) < need {
 		x.classOf = make([]int32, need)
 	}
-	kt.voterClass = make([]int32, len(voters))
+	// voterClass and histOff share one allocation.
+	idx := make([]int32, 2*len(voters)+1)
+	kt.voterClass, kt.histOff = idx[:len(voters):len(voters)], idx[len(voters):]
 	for p, a := range x.masks {
 		c := x.classOf[a] - 1
 		if c < 0 {
@@ -134,15 +143,33 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int, rows bool) {
 		for p, c := range kt.voterClass {
 			x.classSets[int(c)*w+p>>6] |= 1 << uint(p&63)
 		}
+		// With no self-loops, u's insertion point in its own adjacency
+		// is where the suffix above it starts.
+		x.suffix = resizeZero(x.suffix, len(voters))
+		for i, u := range voters {
+			s, _ := slices.BinarySearch(g.Neighbors(u), int32(u))
+			x.suffix[i] = int32(s)
+		}
+		k := x.split.cut(len(voters), par, func(i int) int { return g.Degree(voters[i]) - int(x.suffix[i]) })
+		for p := 1; p < k; p++ {
+			x.split.wg.Add(1)
+			go func() {
+				defer x.split.wg.Done()
+				sc.fillUpper(g, x, x.split.cuts[p], x.split.cuts[p+1])
+			}()
+		}
+		sc.fillUpper(g, x, 0, x.split.cuts[1])
+		x.split.wg.Wait()
+		mirrorRows(kt.rows, len(voters), w)
 	}
 
-	// Run p > 0 fills its own entries and its voters' offsets relative
-	// to them; after the join they follow run p−1's, offsets shifted.
-	k := x.split.cut(g, voters, par)
+	// Histogram run p > 0 writes its own entries and its voters' offsets
+	// relative to them; after the join they follow run p−1's, offsets
+	// shifted.
+	k := x.split.cut(len(voters), par, func(i int) int { return g.Degree(voters[i]) })
 	for len(x.hparts) < k {
 		x.hparts = append(x.hparts, histPart{})
 	}
-	kt.histOff = make([]int32, len(voters)+1)
 	cuts := x.split.cuts
 	for p := 1; p < k; p++ {
 		x.split.wg.Add(1)
@@ -166,28 +193,75 @@ func (sc *seqComp) buildKT(g *graph.Graph, x *ktScratch, par int, rows bool) {
 	}
 }
 
+// fillUpper sets, in the rows of voters [lo, hi), the bits of their
+// neighbors at higher voter positions: the upper triangle of G[V], read
+// from each voter's adjacency suffix. It writes only those rows.
+func (sc *seqComp) fillUpper(g *graph.Graph, x *ktScratch, lo, hi int) {
+	kt, pos, w := &sc.kt, x.voterPos, sc.kt.rowWords
+	for i := lo; i < hi; i++ {
+		row := kt.rows[i*w : (i+1)*w]
+		for _, v := range g.Neighbors(sc.voters[i])[x.suffix[i]:] {
+			if p := pos[v] - 1; p >= 0 {
+				row[p>>6] |= 1 << uint(p&63)
+			}
+		}
+	}
+}
+
+// mirrorRows ORs the transpose of the upper triangle of the n rows of
+// w words into their lower triangle, making them symmetric: block
+// (bi, bj), bi ≤ bj — rows 64·bi…, word bj — lands transposed in rows
+// 64·bj…, word bi. Block row bj reads only words ≥ bj of earlier block
+// rows and its own, and writes only its own words ≤ bj.
+func mirrorRows(rows []uint64, n, w int) {
+	var blk [64]uint64
+	for bj := 0; bj < w; bj++ {
+		dst := rows[bj*64*w:]
+		dn := min(64, n-bj*64)
+		for bi := 0; bi <= bj; bi++ {
+			src := rows[bi*64*w+bj:]
+			sn := min(64, n-bi*64)
+			for r := 0; r < sn; r++ {
+				blk[r] = src[r*w]
+			}
+			clear(blk[sn:])
+			transpose64(&blk)
+			for r := 0; r < dn; r++ {
+				dst[r*w+bi] |= blk[r]
+			}
+		}
+	}
+}
+
+// transpose64 transposes the 64×64 bit matrix whose row r is a[r], bit
+// c the entry (r, c): it swaps the off-diagonal halves of ever smaller
+// blocks (Hacker's Delight §7-3).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j >>= 1 {
+		for k := 0; k < 64; k = ((k | j) + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k|j]) & m
+			a[k] ^= t << uint(j)
+			a[k|j] ^= t
+		}
+		m ^= m << uint(j>>1)
+	}
+}
+
 // histogram appends the class histograms of voters [lo, hi) to hist,
-// setting each one's end offset in hist, and returns hist; with rows it
-// first fills those voters' rows. It reads the voter index, the classes
-// and the class sets, and writes only hp, those offsets and those rows.
-// A voter's histogram is counted by popcount where that is cheaper than
-// its adjacency — classes·rowWords ≤ deg — and entry by entry
-// otherwise; both list exactly the classes with a nonzero count.
+// setting each one's end offset in hist, and returns hist. It reads the
+// voter index, the classes, the class sets and the finished rows, and
+// writes only hp and those offsets. A voter's histogram is counted by
+// popcount where that is cheaper than its adjacency — classes·rowWords
+// ≤ deg — and entry by entry otherwise; both list exactly the classes
+// with a nonzero count.
 func (sc *seqComp) histogram(g *graph.Graph, x *ktScratch, hp *histPart, lo, hi int, hist []classCount) []classCount {
 	kt, pos, w := &sc.kt, x.voterPos, sc.kt.rowWords
 	hp.cnt = resizeZero(hp.cnt, len(kt.classMask))
 	for i := lo; i < hi; i++ {
 		nbrs := g.Neighbors(sc.voters[i])
-		var row []uint64
-		if kt.rows != nil {
-			row = kt.rows[i*w : (i+1)*w]
-			for _, v := range nbrs {
-				if p := pos[v] - 1; p >= 0 {
-					row[p>>6] |= 1 << uint(p&63)
-				}
-			}
-		}
-		if row != nil && len(kt.classMask)*w <= len(nbrs) {
+		if kt.rows != nil && len(kt.classMask)*w <= len(nbrs) {
+			row := kt.rows[i*w : (i+1)*w]
 			for c := range kt.classMask {
 				cs, n := x.classSets[c*w:(c+1)*w], 0
 				for j, rw := range row {

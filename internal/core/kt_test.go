@@ -302,3 +302,87 @@ func TestRowKernelMatchesEntryKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestUpperFillMatchesFullRows pins the voter rows — filled above the
+// diagonal, then mirrored — to rows built entry by entry from every
+// voter's full adjacency, at Parallelism 1 and 2: on the replay's own
+// dense components of hubInstance, and on a seeded family of dense
+// components whose |V| sits at and around the 64-bit word boundaries,
+// the largest with enough entries above the diagonal to split the fill.
+// Each row has a zero diagonal bit and zero padding past |V|.
+func TestUpperFillMatchesFullRows(t *testing.T) {
+	g, _ := hubInstance()
+	for _, par := range []int{1, 2} {
+		dense := 0
+		for seed := int64(1); seed <= 3; seed++ {
+			opts, err := Options{Epsilon: 0.25, ExpectedSample: 200, Seed: seed, Versions: 2, MinSize: 20, Parallelism: par}.validated(g.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch := getSeqScratch()
+			res := &Result{SampleSizes: make([]int, opts.Versions)}
+			comps, err := collectComps(context.Background(), g, opts, scratch, nil, res, func(*seqComp) {})
+			putSeqScratch(scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sc := range comps {
+				if sc.kt.rows != nil {
+					checkFullRows(t, g, sc)
+					dense++
+				}
+			}
+		}
+		if dense == 0 {
+			t.Fatalf("Parallelism %d: hubInstance gave no component with rows", par)
+		}
+	}
+
+	x := ktScratch{}
+	for _, size := range []int{1, 63, 64, 65, 130, 300} {
+		p := gen.PlantedNearClique(size+40, size, 0.1, 0.1, int64(size))
+		voters := slices.Clone(p.D)
+		slices.Sort(voters)
+		if !denseRows(p.Graph, voters) {
+			t.Fatalf("|V| = %d: the component is not dense", size)
+		}
+		if above := entriesAbove(p.Graph, voters); size == 300 && parts(above, 2) < 2 {
+			t.Fatalf("|V| = %d: %d entries above the diagonal split no fill", size, above)
+		}
+		x.voterPos = make([]int32, p.Graph.N())
+		for _, par := range []int{1, 2} {
+			sc := newSeqComp(voters[:min(3, size)], 0)
+			sc.voters = voters
+			sc.buildKT(p.Graph, &x, par, true)
+			checkFullRows(t, p.Graph, sc)
+		}
+	}
+}
+
+// checkFullRows fails unless sc's rows equal G[V] built entry by entry,
+// with zero diagonal and zero padding bits.
+func checkFullRows(t *testing.T, g *graph.Graph, sc *seqComp) {
+	t.Helper()
+	n, w := len(sc.voters), sc.kt.rowWords
+	if w != (n+63)/64 || len(sc.kt.rows) != n*w {
+		t.Fatalf("|V| = %d: %d rows words of %d each", n, len(sc.kt.rows), w)
+	}
+	for i, u := range sc.voters {
+		want := make([]uint64, w)
+		for _, v := range g.Neighbors(u) {
+			if j, ok := slices.BinarySearch(sc.voters, int(v)); ok {
+				want[j>>6] |= 1 << uint(j&63)
+			}
+		}
+		row := sc.kt.rows[i*w : (i+1)*w]
+		if !slices.Equal(row, want) {
+			t.Fatalf("|V| = %d voter %d: row %x, full adjacency %x", n, i, row, want)
+		}
+		if row[i>>6]&(1<<uint(i&63)) != 0 {
+			t.Fatalf("|V| = %d voter %d: diagonal bit set", n, i)
+		}
+		if pad := row[w-1] >> uint(n-64*(w-1)) << uint(n-64*(w-1)); n%64 != 0 && pad != 0 {
+			t.Fatalf("|V| = %d voter %d: padding bits %x set", n, i, pad)
+		}
+	}
+}

@@ -222,7 +222,8 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 // thresholds at two workers: n = 2e4 nodes sample in two ranges and
 // start the draw worker, and the planted set of 600 (degree ≈ 600 each)
 // gives its components an adjacency of well over 2·minPartWork entries,
-// so their histograms and rows are built in two runs.
+// above the diagonal as well as in all, so their rows are filled and
+// their histograms built in two runs.
 func parallelInstance() (*graph.Graph, Options) {
 	const n, size = 20_000, 600
 	g := gen.SparsePlantedNearClique(n, size, 0.25*0.25*0.25, 10, 1).Graph
@@ -250,6 +251,9 @@ func TestParallelReplayBitIdentical(t *testing.T) {
 	}
 	if work := degreeTotal(g, best.Members); work < 2*minPartWork {
 		t.Fatalf("best candidate's adjacency is %d entries, below the split threshold %d", work, 2*minPartWork)
+	}
+	if work := entriesAbove(g, best.Members); work < 2*minPartWork {
+		t.Fatalf("best candidate has %d adjacency entries above the diagonal, below the row fill's split threshold %d", work, 2*minPartWork)
 	}
 
 	var want string
@@ -304,6 +308,21 @@ func degreeTotal(g *graph.Graph, nodes []int) int {
 	total := 0
 	for _, u := range nodes {
 		total += g.Degree(u)
+	}
+	return total
+}
+
+// entriesAbove counts the adjacency entries from each of the sorted
+// nodes to a higher one of them: the upper triangle of G[nodes], a lower
+// bound on the entries a row fill over a superset of nodes reads.
+func entriesAbove(g *graph.Graph, nodes []int) int {
+	total := 0
+	for _, u := range nodes {
+		for _, v := range g.Neighbors(u) {
+			if _, ok := slices.BinarySearch(nodes, int(v)); ok && int(v) > u {
+				total++
+			}
+		}
 	}
 	return total
 }

@@ -42,37 +42,38 @@ type splitter struct {
 	wg   sync.WaitGroup
 }
 
-// cut splits nodes into runs of near-equal Σ deg, as many as parts
-// grants that sum, and returns how many: run p is
-// nodes[sp.cuts[p]:sp.cuts[p+1]].
-func (sp *splitter) cut(g *graph.Graph, nodes []int, par int) int {
+// cut splits items 0..n−1 into runs of near-equal total weight, as
+// many as parts grants that total, and returns how many: run p is items
+// [sp.cuts[p], sp.cuts[p+1]).
+func (sp *splitter) cut(n, par int, weight func(i int) int) int {
 	sp.cuts = append(sp.cuts[:0], 0)
 	if par > 1 {
 		total := 0
-		for _, u := range nodes {
-			total += g.Degree(u)
+		for i := 0; i < n; i++ {
+			total += weight(i)
 		}
 		k, acc := parts(total, par), 0
-		for i, u := range nodes {
+		for i := 0; i < n; i++ {
 			if len(sp.cuts) < k && acc*k >= len(sp.cuts)*total {
 				sp.cuts = append(sp.cuts, i)
 			}
-			acc += g.Degree(u)
+			acc += weight(i)
 		}
 	}
-	sp.cuts = append(sp.cuts, len(nodes))
+	sp.cuts = append(sp.cuts, n)
 	return len(sp.cuts) - 1
 }
 
 // density returns Graph.Density of the distinct nodes — its exact float
 // expression over the exact integer count of adjacency entries inside
 // the set — with set, all-zero on entry and on return, as the
-// membership scratch. The entries are summed in up to par runs.
+// membership scratch. The entries are summed in up to par runs of
+// near-equal Σ deg.
 func (sp *splitter) density(g *graph.Graph, nodes []int, set *bitset.Set, par int) float64 {
 	for _, u := range nodes {
 		set.Add(u)
 	}
-	k := sp.cut(g, nodes, par)
+	k := sp.cut(len(nodes), par, func(i int) int { return g.Degree(nodes[i]) })
 	sp.sums = append(sp.sums[:0], make([]int, k)...)
 	for p := 1; p < k; p++ {
 		sp.wg.Add(1)
