@@ -46,3 +46,7 @@ func (s *Set) CopyFrom(t *Set) int {
 	}
 	return c
 }
+
+// SetWord sets the wi-th backing word of s (bits [64·wi, 64·wi+64)) to
+// w. Bits of w at or past Len() must be zero.
+func (s *Set) SetWord(wi int, w uint64) { s.words[wi] = w }

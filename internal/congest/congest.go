@@ -263,17 +263,33 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 // It is rand.Perm's loop — the same Intn(i+1) draws and swaps — writing
 // the IDs straight into int64s.
 func permutedIDs(n int, seed int64) []int64 {
-	rng := idRand(seed)
+	src := idSource(seed)
 	ids := make([]int64, n)
 	for i := range ids {
-		j := rng.Intn(i + 1)
+		j := idDraw(src, int32(i+1))
 		ids[i] = ids[j]
 		ids[j] = int64(i)
 	}
 	return ids
 }
 
-func idRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed ^ 0x1dfa_c0de)) }
+func idSource(seed int64) rand.Source { return rand.NewSource(seed ^ 0x1dfa_c0de) }
+
+// idDraw returns rand.New(src).Intn(n) for 0 < n < 2^31 with one
+// division instead of two: a draw at most 2^31−1−n is below Int31n's
+// rejection bound 2^31−1 − 2^31 mod n, which is computed only above it.
+func idDraw(src rand.Source, n int32) int32 {
+	v := int32(src.Int63() >> 32)
+	if n&(n-1) == 0 {
+		return v & (n - 1)
+	}
+	if v > 1<<31-1-n {
+		for bound := int32(1<<31 - 1 - (1<<31)%uint32(n)); v > bound; {
+			v = int32(src.Int63() >> 32)
+		}
+	}
+	return v % n
+}
 
 // IDWalk is the pooled state of the backward ID walk: the recorded
 // draws and the tracked positions. The zero value is ready; an IDWalk is
@@ -293,9 +309,9 @@ func (w *IDWalk) Record(n int, seed int64) {
 		w.draws = make([]uint32, n)
 	}
 	draws := w.draws[:n]
-	rng := idRand(seed)
+	src := idSource(seed)
 	for i := range draws {
-		draws[i] = uint32(rng.Intn(i + 1))
+		draws[i] = uint32(idDraw(src, int32(i+1)))
 	}
 	w.draws = draws
 }

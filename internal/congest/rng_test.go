@@ -1,8 +1,10 @@
 package congest
 
 import (
-	"maps"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nearclique/internal/bitset"
@@ -102,22 +104,80 @@ func BenchmarkPermutedIDs(b *testing.B) {
 
 var benchIDs []int64
 
+// TestIDDrawMatchesIntn pins idDraw, which permutedIDs and
+// IDWalk.Record draw through, to the math/rand Intn(i+1) sequence of
+// rand.Perm at n = 1e6, where Int31n's rejection loop runs about a
+// hundred times per permutation.
+func TestIDDrawMatchesIntn(t *testing.T) {
+	const n = 1_000_000
+	for _, seed := range []int64{0, 1, 42, -7} {
+		want := rand.New(rand.NewSource(seed ^ 0x1dfa_c0de))
+		src := &countingSource{Source: idSource(seed)}
+		for i := 0; i < n; i++ {
+			if got, w := idDraw(src, int32(i+1)), want.Intn(i+1); int(got) != w {
+				t.Fatalf("seed %d: draw %d is %d, Intn(%d) %d", seed, i, got, i+1, w)
+			}
+		}
+		if src.calls == n {
+			t.Fatalf("seed %d: the rejection loop never ran", seed)
+		}
+	}
+}
+
+// countingSource counts the values drawn from a rand.Source.
+type countingSource struct {
+	rand.Source
+	calls int
+}
+
+func (s *countingSource) Int63() int64 {
+	s.calls++
+	return s.Source.Int63()
+}
+
+// nodeRandSamples returns versions sample sets over n nodes drawn from
+// NewNodeRand's streams the way the simulated nodes draw them.
+func nodeRandSamples(seed int64, n, versions int, p1, p2 float64) []*bitset.Set {
+	sets := make([]*bitset.Set, versions)
+	for r := range sets {
+		sets[r] = bitset.New(n)
+	}
+	for v := 0; v < n; v++ {
+		rng := NewNodeRand(seed, int64(v))
+		for _, set := range sets {
+			if f1, f2 := rng.Float64(), rng.Float64(); f1 < p1 || f2 < p2 {
+				set.Add(v)
+			}
+		}
+	}
+	return sets
+}
+
+// drawAll draws versions sample sets over n nodes through c, in passes
+// of at most MaxFusedVersions versions.
+func drawAll(c *Coins, seed int64, n, versions int, p1, p2 float64, parts int) []*bitset.Set {
+	sets := make([]*bitset.Set, versions)
+	for r := range sets {
+		sets[r] = bitset.New(n)
+	}
+	c.Reset(seed, p1, p2)
+	for first := 0; first < versions; first += MaxFusedVersions {
+		c.Draw(sets[first:min(first+MaxFusedVersions, versions)], parts)
+	}
+	return sets
+}
+
 // TestCoinsMatchNodeRand pins the in-place coins to the rand.Rand
-// streams the simulators draw from, draw for draw over four versions,
-// including after the used value is re-keyed to an earlier seed.
+// streams the simulators draw from over four versions, including after
+// the used value is re-keyed to an earlier seed.
 func TestCoinsMatchNodeRand(t *testing.T) {
-	const nodes, versions = 1000, 4
+	const nodes, versions, p1, p2 = 1000, 4, 0.3, 0.4
 	var c Coins
 	for _, seed := range []int64{1, 3, -99, 1} {
-		c.Reset(seed)
-		for v := 0; v < nodes; v++ {
-			r := NewNodeRand(seed, int64(v))
-			for ver := 0; ver < versions; ver++ {
-				f1, f2 := c.Pair(v, ver)
-				if w1, w2 := r.Float64(), r.Float64(); f1 != w1 || f2 != w2 {
-					t.Fatalf("seed %d node %d version %d: coins (%v, %v), NewNodeRand (%v, %v)",
-						seed, v, ver, f1, f2, w1, w2)
-				}
+		want := nodeRandSamples(seed, nodes, versions, p1, p2)
+		for r, got := range drawAll(&c, seed, nodes, versions, p1, p2, 1) {
+			if !got.Equal(want[r]) {
+				t.Fatalf("seed %d version %d: coins sample %v, NewNodeRand %v", seed, r, got.Indices(), want[r].Indices())
 			}
 		}
 	}
@@ -128,100 +188,159 @@ func TestCoinsMatchNodeRand(t *testing.T) {
 // there, a 2^-53 event no random test reaches — by inverting the
 // splitmix64 finalizer twice (the draw, then splitSeed), and checks that
 // the coins redraw exactly as rand.Rand does: that node's version-0
-// coins skip a counter and every later version shifts by one.
+// coins skip a counter, every later version shifts by one, and the node
+// carries its shift of one past the pass.
 func TestCoinsRedrawAtOne(t *testing.T) {
-	const node = 3
-	seed, key := redrawSeed(node)
-	if f := unitFloat(key + golden); f != 1 {
-		t.Fatalf("constructed draw is %v, want exactly 1", f)
+	const node, n, versions, p = 3, 64, 8, 0.5
+	seed, key := redrawSeed(node, 1, ^uint64(0))
+	if x := mix64(key+golden) >> 1; float64(x)/(1<<63) != 1 || x < redrawAt {
+		t.Fatalf("constructed draw %#x does not round to 1", x)
 	}
 	if got := uint64(splitSeed(seed, node)); got != key {
 		t.Fatalf("splitSeed(%d, %d) = %#x, want %#x", seed, node, got, key)
 	}
 	var c Coins
-	c.Reset(seed)
-	r := NewNodeRand(seed, node)
-	for ver := 0; ver < 4; ver++ {
-		f1, f2 := c.Pair(node, ver)
-		if w1, w2 := r.Float64(), r.Float64(); f1 != w1 || f2 != w2 || f1 >= 1 {
-			t.Fatalf("version %d: coins (%v, %v), rand.Rand (%v, %v)", ver, f1, f2, w1, w2)
+	got := drawAll(&c, seed, n, versions, p, p, 1)
+	want := nodeRandSamples(seed, n, versions, p, p)
+	unshifted := false
+	for r := range got {
+		if !got[r].Equal(want[r]) {
+			t.Fatalf("version %d: coins sample %v, rand.Rand %v", r, got[r].Indices(), want[r].Indices())
 		}
-		shifted := uint64(2*ver + 2) // counters 2ver+1, 2ver+2, one later
-		if ver == 0 {
-			shifted = 2 // counter 1 redrawn: counters 2 and 3
-		}
-		if f1 != unitFloat(key+shifted*golden) || f2 != unitFloat(key+(shifted+1)*golden) {
-			t.Fatalf("version %d: coins (%v, %v) are not counters %d and %d", ver, f1, f2, shifted, shifted+1)
-		}
+		x1, x2 := mix64(key+uint64(2*r+1)*golden)>>1, mix64(key+uint64(2*r+2)*golden)>>1
+		unshifted = unshifted || (x1 < coinThreshold(p) || x2 < coinThreshold(p)) != want[r].Contains(node)
 	}
-	if c.Reset(seed); len(c.extra) != 0 {
-		t.Fatal("Reset kept a redraw offset")
+	if !unshifted {
+		t.Fatal("the unshifted counters give the same sample; the test cannot see the redraw")
+	}
+	if len(c.carry) != 1 || c.carry[0] != (shift{node, 1}) {
+		t.Fatalf("carried shifts %v, want node %d by 1", c.carry, node)
+	}
+	if c.Reset(seed, p, p); len(c.carry) != 0 {
+		t.Fatal("Reset kept a redraw shift")
 	}
 }
 
 // redrawSeed returns the seed under which node's stream key is key and
-// its first draw is 2^64−1 (Int63 = 2^63−1), which rounds to 1.0.
-func redrawSeed(node int64) (seed int64, key uint64) {
-	key = unmix64(^uint64(0)) - golden
+// its draw ctr (from 1) is the 64-bit value z, by inverting mix64 twice.
+func redrawSeed(node int64, ctr, z uint64) (seed int64, key uint64) {
+	key = unmix64(z) - ctr*golden
 	gamma := uint64(golden)
 	return int64(unmix64(key) - gamma*uint64(node+1)), key
 }
 
-// TestCoinsFastPathMatchesPair pins the read-only fast path and the
-// split sampling pass to Pair: with redraw offsets seeded for chosen
-// nodes, and under a seed whose node 3 redraws its first draw, TryPair
-// returns Pair's coins wherever it reports ok, and fails only where a
-// draw rounds to 1; and Sample at any split gives the sample set, and
-// the redraw record, of the serial loop over Pair, version by version.
-func TestCoinsFastPathMatchesPair(t *testing.T) {
-	const n, versions = 1 << 15, 3
-	const p1, p2 = 0.1, 0.12
-	atOne, _ := redrawSeed(3)
-	seeded := map[int]uint64{0: 1, 63: 2, 64: 1, 4097: 3, n - 1: 2}
-	reset := func(c *Coins, seed int64) {
-		c.Reset(seed)
-		c.extra = maps.Clone(seeded)
+// TestCoinPassMatchesNodeRand pins the fused coin pass to the
+// NewNodeRand Float64 pairs, node by node and version by version, at
+// 1, 4 and 70 versions (70 takes two passes), split into 1, 2, 3 and 7
+// ranges. Its seeds force one draw of one node, on nodes at the ends of
+// words and of ranges: a redraw at version 0, in the middle of a pass,
+// at the last version of the first pass and in the second pass, the
+// least 63-bit draw that is redrawn, and the greatest that is not.
+// Every redrawn node, and no other, carries a shift of one past the
+// last pass.
+func TestCoinPassMatchesNodeRand(t *testing.T) {
+	const n, p1, p2 = 1<<12 + 37, 0.1, 0.12
+	type forced struct {
+		node int
+		ctr  uint64
+		z    uint64 // the forced draw, before Int63's shift
 	}
-	for _, seed := range []int64{1, -99, atOne} {
-		var ref Coins
-		reset(&ref, seed)
-		want := make([]*bitset.Set, versions)
-		failed := 0
-		for r := range want {
-			want[r] = bitset.New(n)
-			for v := 0; v < n; v++ {
-				f1, f2, ok := ref.TryPair(v, r)
-				w1, w2 := ref.Pair(v, r)
-				switch {
-				case ok && (f1 != w1 || f2 != w2):
-					t.Fatalf("seed %d node %d version %d: TryPair (%v, %v), Pair (%v, %v)", seed, v, r, f1, f2, w1, w2)
-				case !ok && f1 != 1 && f2 != 1:
-					t.Fatalf("seed %d node %d version %d: TryPair failed on (%v, %v), neither 1", seed, v, r, f1, f2)
-				case !ok:
-					failed++
+	cases := []forced{
+		{-1, 0, 0}, {0, 1, ^uint64(0)}, {63, 2*31 + 2, ^uint64(0)}, {576, 2*63 + 1, ^uint64(0)},
+		{n - 1, 2*66 + 2, ^uint64(0)}, {64, 3, (1<<63 - 512) << 1}, {127, 5, (1<<63-513)<<1 | 1},
+	}
+	for _, f := range cases {
+		seed, redrawn := int64(-99), false
+		if f.node >= 0 {
+			var key uint64
+			seed, key = redrawSeed(int64(f.node), f.ctr, f.z)
+			if got := mix64(key + f.ctr*golden); got != f.z {
+				t.Fatalf("node %d: draw %d is %#x, want %#x", f.node, f.ctr, got, f.z)
+			}
+			redrawn = float64(int64(f.z>>1))/(1<<63) == 1
+		}
+		want := nodeRandSamples(seed, n, 70, p1, p2)
+		for _, versions := range []int{1, 4, 70} {
+			for _, parts := range []int{1, 2, 3, 7} {
+				var c Coins
+				got := drawAll(&c, seed, n, versions, p1, p2, parts)
+				for r := range got {
+					if !got[r].Equal(want[r]) {
+						t.Fatalf("node %d forced at draw %d, %d versions, %d parts: version %d's sample of %d differs from NewNodeRand's of %d",
+							f.node, f.ctr, versions, parts, r, got[r].Count(), want[r].Count())
+					}
 				}
-				if w1 < p1 || w2 < p2 {
-					want[r].Add(v)
+				var carry []shift
+				if redrawn && f.ctr <= uint64(2*versions) {
+					carry = []shift{{f.node, 1}}
+				}
+				if !slices.Equal(c.carry, carry) {
+					t.Fatalf("node %d forced at draw %d, %d versions, %d parts: carried shifts %v, want %v",
+						f.node, f.ctr, versions, parts, c.carry, carry)
 				}
 			}
 		}
-		if seed == atOne && failed == 0 {
-			t.Fatal("no draw needed a redraw; the slow path went untested")
+	}
+}
+
+// TestCoinThreshold pins coinThreshold at and next to the boundary: for
+// each p of a grid and its float neighbours, T is the least 63-bit x
+// with float64(x) ≥ p·2^63, so the draws around it compare to p as
+// their Float64 does.
+func TestCoinThreshold(t *testing.T) {
+	pinned := map[float64]uint64{
+		0: 0, 1: redrawAt, 1.5: 1 << 63, math.Inf(1): 1 << 63,
+		0x1p-63: 1, math.SmallestNonzeroFloat64: 1, 0.5: 1<<62 - 256,
+		math.Nextafter(0.5, 1): 1<<62 + 513, -1: 0,
+	}
+	for p, want := range pinned {
+		if got := coinThreshold(p); got != want {
+			t.Errorf("coinThreshold(%v) = %#x, want %#x", p, got, want)
 		}
-		for _, parts := range []int{1, 2, 3, 7} {
-			var c Coins
-			reset(&c, seed)
-			in := bitset.New(n)
-			for r := range want {
-				size := c.Sample(in, r, p1, p2, parts)
-				if !in.Equal(want[r]) || size != want[r].Count() {
-					t.Fatalf("seed %d version %d parts %d: sample of %d differs from the serial one of %d",
-						seed, r, parts, size, want[r].Count())
-				}
-			}
-			if !maps.Equal(c.extra, ref.extra) {
-				t.Fatalf("seed %d parts %d: redraw record %v, serial %v", seed, parts, c.extra, ref.extra)
-			}
+	}
+	if got := coinThreshold(math.NaN()); got != 0 {
+		t.Errorf("coinThreshold(NaN) = %#x, want 0: no Float64 is below NaN", got)
+	}
+	for _, p := range []float64{0, 1, 2, 0x1p-63, math.SmallestNonzeroFloat64, 0x1p-1050, 0.002, 0.5} {
+		for _, q := range []float64{p, math.Nextafter(p, -1), math.Nextafter(p, 2)} {
+			checkCoinThreshold(t, q, 0)
+		}
+	}
+}
+
+// FuzzCoinThreshold checks coinThreshold's boundary property, and one
+// draw's coin against its Float64, for arbitrary p and draws.
+func FuzzCoinThreshold(f *testing.F) {
+	f.Add(0.002, uint64(1)<<50)
+	f.Add(0.5, uint64(1)<<62)
+	f.Add(1.0, ^uint64(0))
+	f.Add(0x1p-63, uint64(1))
+	f.Fuzz(func(t *testing.T, p float64, x uint64) {
+		checkCoinThreshold(t, p, x>>1)
+	})
+}
+
+// checkCoinThreshold checks that T = coinThreshold(p) satisfies
+// float64(T) ≥ p·2^63 > float64(T−1) where those exist, and that
+// draws x, T−1 and T are heads exactly when their Float64 is below p.
+func checkCoinThreshold(t *testing.T, p float64, x uint64) {
+	t.Helper()
+	T, q := coinThreshold(p), p*(1<<63)
+	if T > 1<<63 {
+		t.Fatalf("p %v: T = %#x exceeds 2^63", p, T)
+	}
+	if T < 1<<63 && float64(T) < q {
+		t.Fatalf("p %v: float64(T = %#x) = %v < p·2^63 = %v", p, T, float64(T), q)
+	}
+	if T > 0 && !(float64(T-1) < q) {
+		t.Fatalf("p %v: float64(T−1 = %#x) = %v ≥ p·2^63 = %v", p, T-1, float64(T-1), q)
+	}
+	for _, x := range []uint64{x, T - 1, T} {
+		if x >= 1<<63 {
+			continue
+		}
+		if heads, f := x < T, float64(int64(x))/(1<<63); heads != (f < p) {
+			t.Fatalf("p %v: draw %#x is heads %v, but its Float64 %v < p is %v", p, x, heads, f, f < p)
 		}
 	}
 }
@@ -253,4 +372,24 @@ func inverseOdd(a uint64) uint64 {
 		x *= 2 - a*x
 	}
 	return x
+}
+
+// BenchmarkCoinPass draws the sampling coins of a search at the
+// repository benchmark's shapes — 4 versions at n = 1e5, and one version
+// at n = 1e6 — in one range, at p = 6/n.
+func BenchmarkCoinPass(b *testing.B) {
+	for _, shape := range []struct{ n, versions int }{{100_000, 4}, {1_000_000, 1}} {
+		b.Run(fmt.Sprintf("n=%d/v=%d", shape.n, shape.versions), func(b *testing.B) {
+			sets := make([]*bitset.Set, shape.versions)
+			for r := range sets {
+				sets[r] = bitset.New(shape.n)
+			}
+			p := 6 / float64(shape.n)
+			var c Coins
+			for i := 0; i < b.N; i++ {
+				c.Reset(int64(i), p/2, (p-p/2)/(1-p/2))
+				c.Draw(sets, 1)
+			}
+		})
+	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nearclique/internal/bitset"
+	"nearclique/internal/congest"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
 )
@@ -104,15 +106,42 @@ func TestPropertyInvariants(t *testing.T) {
 	}
 }
 
-// TestPropertySampleMatchesCoins: the sample drawn by the protocol must
-// match an independent replay of the two-coin process.
+// TestPropertySampleMatchesCoins: the sample drawn by the replay's coin
+// pass must match an independent replay of the two-coin process, drawn
+// from each node's NewNodeRand stream as the simulated nodes draw it.
+// Every fifth trial runs 70 versions, which take two coin passes.
 func TestPropertySampleMatchesCoins(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	twoPasses := 0
 	for trial := 0; trial < 20; trial++ {
 		g, opts := randomInstance(rng)
+		if trial%5 == 0 {
+			opts.Versions = 70
+		}
 		res, err := FindSequential(g, opts)
 		if err != nil {
 			continue
+		}
+		if opts.Versions > congest.MaxFusedVersions {
+			twoPasses++
+		}
+		vo, _ := opts.validated(g.N())
+		p1 := vo.P / 2
+		p2 := 0.0
+		if p1 < 1 {
+			p2 = (vo.P - p1) / (1 - p1)
+		}
+		want := make([]int, vo.Versions)
+		for v := 0; v < g.N(); v++ {
+			r := congest.NewNodeRand(vo.Seed, int64(v))
+			for ver := range want {
+				if f1, f2 := r.Float64(), r.Float64(); f1 < p1 || f2 < p2 {
+					want[ver]++
+				}
+			}
+		}
+		if !slices.Equal(res.SampleSizes, want) {
+			t.Fatalf("trial %d: sample sizes %v, the NewNodeRand coins give %v", trial, res.SampleSizes, want)
 		}
 		// E|S| = p·n per version; verify at least the gross scale: the
 		// total over versions should rarely exceed 5× the expectation.
@@ -126,5 +155,8 @@ func TestPropertySampleMatchesCoins(t *testing.T) {
 					trial, v, size, expect)
 			}
 		}
+	}
+	if twoPasses == 0 {
+		t.Fatal("no trial ran more versions than one coin pass fills")
 	}
 }

@@ -16,13 +16,14 @@ const seqCtxCheckEvery = 64
 
 // seqScratch is the reusable per-run state of the centralized replay and
 // the cached search. Its graph-sized part holds no pointers: the
-// cluster kernels' traversal scratch, the per-version sample set, the
-// mark set that dedups a component's voters and tracks the ID walk's
+// cluster kernels' traversal scratch, the sample sets of up to
+// congest.MaxFusedVersions versions that one coin pass fills, the mark
+// set that dedups a component's voters and tracks the ID walk's
 // positions, the ID walk's recorded draws, and the K/T kernel's dense
 // voter index. The mark set and the voter index are all-zero between
 // components. A density check of a component without rows borrows the
-// mark set and clears it again. The coins keep no per-node array at
-// all. Batch serving solves many graphs back to back, often
+// mark set and clears it again. The coins keep no per-node array of
+// their own. Batch serving solves many graphs back to back, often
 // concurrently, so the scratch lives in a sync.Pool: each in-flight run
 // owns one scratch exclusively, and parallel SolveBatch workers draw
 // distinct instances.
@@ -35,24 +36,29 @@ type seqScratch struct {
 	ids        []int64        // their protocol IDs
 
 	fsc      *frontier.Scratch
-	inS      *bitset.Set
+	samples  []*bitset.Set // per version of the running coin pass
+	inS      *bitset.Set   // the running version's, one of samples
 	mark     *bitset.Set
 	voterBuf []int
 
 	kt ktScratch
 }
 
-// sizeFor sizes the graph-sized scratch for an n-vertex graph. The mark
-// set stays all-zero across runs; inS is cleared by every version.
-func (s *seqScratch) sizeFor(n int) {
+// sizeFor sizes the graph-sized scratch for an n-vertex graph and a run
+// of the given versions. The mark set stays all-zero across runs; every
+// coin pass overwrites the sample sets it fills.
+func (s *seqScratch) sizeFor(n, versions int) {
 	if s.fsc == nil {
 		s.fsc = frontier.NewScratch(n)
 	} else {
 		s.fsc.Ensure(n)
 	}
-	if s.inS == nil || s.inS.Len() != n {
-		s.inS = bitset.New(n)
+	if s.mark == nil || s.mark.Len() != n {
 		s.mark = bitset.New(n)
+		s.samples = nil
+	}
+	for len(s.samples) < min(versions, congest.MaxFusedVersions) {
+		s.samples = append(s.samples, bitset.New(n))
 	}
 	if len(s.kt.voterPos) < n {
 		s.kt.voterPos = make([]int32, n)

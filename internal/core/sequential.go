@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"nearclique/internal/congest"
 	"nearclique/internal/flight"
 	"nearclique/internal/frontier"
 	"nearclique/internal/graph"
@@ -87,7 +88,9 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 
 // collectComps runs the ε-invariant half of a replay: the sampling coins
 // (version j draws the (2j+1)-th and (2j+2)-th floats of each node's
-// stream, exactly as the distributed nodes do), 64-seed batched
+// stream, exactly as the distributed nodes do; one pass in the phase of
+// version 0, and of every congest.MaxFusedVersions-th version after it,
+// draws the coins of that many versions), 64-seed batched
 // component discovery, each component's voters, and — for one that can
 // announce — its ε-invariant K/T kernel tables. visit observes each
 // component in transcript order — the solve finishes thresholds there,
@@ -96,8 +99,7 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) ([]*seqComp, error) {
 	n := g.N()
 	par := workers(opts.Parallelism)
-	scratch.sizeFor(n)
-	scratch.coins.Reset(opts.Seed)
+	scratch.sizeFor(n, opts.Versions)
 	scratch.startDraws(n, opts.Seed, par)
 	// The draw worker writes the scratch: join it before the scratch can
 	// go back to the pool, however the traversal ends.
@@ -108,6 +110,7 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 	if p1 < 1 {
 		p2 = (opts.P - p1) / (1 - p1)
 	}
+	scratch.coins.Reset(opts.Seed, p1, p2)
 
 	var comps []*seqComp
 	for ver := 0; ver < opts.Versions; ver++ {
@@ -115,7 +118,12 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 			return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
 		}
 		ft.begin(fmt.Sprintf("v%d/explore", ver))
-		res.SampleSizes[ver] = scratch.coins.Sample(scratch.inS, ver, p1, p2, parts(n, par))
+		k := ver % congest.MaxFusedVersions
+		if k == 0 {
+			scratch.coins.Draw(scratch.samples[:min(opts.Versions-ver, congest.MaxFusedVersions)], parts(n, par))
+		}
+		scratch.inS = scratch.samples[k]
+		res.SampleSizes[ver] = scratch.inS.Count()
 
 		for ci, members := range frontier.Components(g, scratch.inS, scratch.fsc, ft.onWave()) {
 			if ci%seqCtxCheckEvery == 0 {
