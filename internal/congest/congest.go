@@ -37,6 +37,7 @@ import (
 	"math/bits"
 	"math/rand" //nclint:allow determinism -- all draws go through Context.Rand, seeded from the counterSource bank
 	"runtime"
+	"slices"
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/flight"
@@ -292,13 +293,13 @@ func idDraw(src rand.Source, n int32) int32 {
 }
 
 // IDWalk is the pooled state of the backward ID walk: the recorded
-// draws and the tracked positions. The zero value is ready; an IDWalk is
-// not safe for concurrent use, but Record touches nothing Walk's caller
-// shares, so it may run on a goroutine of its own until Walk.
+// draws, the tracked positions and the walk's output. The zero value is
+// ready; an IDWalk is not safe for concurrent use.
 type IDWalk struct {
 	draws []uint32
 	at    map[int]int // tracked position -> index into nodes
-	dups  [][2]int    // (query, earlier query of the same node)
+	nodes []int32
+	ids   []int64
 }
 
 // Record records permutedIDs' n draws J_i = Intn(i+1) — the same
@@ -316,58 +317,43 @@ func (w *IDWalk) Record(n int, seed int64) {
 	w.draws = draws
 }
 
-// Walk returns PermutedIDs(n, seed)[v] for every v in nodes, in order,
-// for the (n, seed) Record recorded last, without building the
-// permutation. It walks the draws backwards from i = n−1 tracking only
-// the queried positions: swap i writes ID i to position J_i and moves
-// the old content of J_i to position i, so a query at J_i resolves to
-// ID i, and a query at position i ≠ J_i moves to J_i. Tracked positions
-// stay distinct, the walk stops once every query is resolved, and its
-// cost is two bit tests per step.
+// Walk returns the nodes of set in ascending order and their IDs
+// PermutedIDs(n, seed)[v], for the (n, seed) Record recorded last,
+// without building the permutation. It walks the draws backwards from
+// i = n−1 tracking only the queried positions: swap i writes ID i to
+// position J_i and moves the old content of J_i to position i, so a
+// query at J_i resolves to ID i, and a query at position i ≠ J_i moves
+// to J_i. Tracked positions stay distinct, the walk stops once every
+// query is resolved, and its cost is two bit tests per step.
 //
-// tracked must be an all-zero set over at least n bits; it is all-zero
-// again on return.
-func (w *IDWalk) Walk(dst []int64, nodes []int32, tracked *bitset.Set) []int64 {
-	ids := dst[:0]
-	if cap(ids) < len(nodes) {
-		ids = make([]int64, len(nodes))
-	}
-	ids = ids[:len(nodes)]
-	if len(nodes) == 0 {
-		return ids
-	}
-	draws := w.draws
-
+// set, over n bits, holds the tracked positions during the walk and is
+// all-zero on return. The returned slices are w's own until the next
+// Walk.
+func (w *IDWalk) Walk(set *bitset.Set) ([]int32, []int64) {
+	w.nodes = w.nodes[:0]
+	set.ForEach(func(v int) { w.nodes = append(w.nodes, int32(v)) })
+	w.ids = slices.Grow(w.ids[:0], len(w.nodes))[:len(w.nodes)]
 	if w.at == nil {
-		w.at = make(map[int]int, len(nodes))
+		w.at = make(map[int]int, len(w.nodes))
 	}
-	w.dups = w.dups[:0]
-	for q, v := range nodes {
-		if p := int(v); tracked.Contains(p) {
-			w.dups = append(w.dups, [2]int{q, w.at[p]})
-		} else {
-			tracked.Add(p)
-			w.at[p] = q
-		}
+	for q, v := range w.nodes {
+		w.at[int(v)] = q
 	}
-	for i := len(draws) - 1; len(w.at) > 0; i-- {
-		j := int(draws[i])
-		if tracked.Contains(j) {
-			ids[w.at[j]] = int64(i)
+	for i := len(w.draws) - 1; len(w.at) > 0; i-- {
+		j := int(w.draws[i])
+		if set.Contains(j) {
+			w.ids[w.at[j]] = int64(i)
 			delete(w.at, j)
-			tracked.Remove(j)
+			set.Remove(j)
 		}
-		if j != i && tracked.Contains(i) {
+		if j != i && set.Contains(i) {
 			w.at[j] = w.at[i]
 			delete(w.at, i)
-			tracked.Remove(i)
-			tracked.Add(j)
+			set.Remove(i)
+			set.Add(j)
 		}
 	}
-	for _, d := range w.dups {
-		ids[d[0]] = ids[d[1]]
-	}
-	return ids
+	return w.nodes, w.ids
 }
 
 // Graph returns the underlying communication graph.

@@ -30,45 +30,49 @@ func TestPermutedIDsMatchesPerm(t *testing.T) {
 }
 
 // TestSampledIDsMatchPermutedIDs pins the backward ID walk to the full
-// permutation: every node of small graphs, random subsets (with repeats
-// and in random order), and the two end positions, through one pooled
-// walk and one tracked set that must be all-zero after every call.
+// permutation: every node of small graphs, random subsets (drawn with
+// repeats, which the set deduplicates), and the two end positions,
+// through one pooled walk. The queried set must be all-zero after
+// every call.
 func TestSampledIDsMatchPermutedIDs(t *testing.T) {
 	var w IDWalk
-	var buf []int64
 	for _, n := range []int{1, 2, 3, 64, 1000, 1 << 17} {
-		tracked := bitset.New(n)
+		set := bitset.New(n)
 		for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
 			perm := PermutedIDs(n, seed)
 			rng := rand.New(rand.NewSource(int64(n) ^ seed))
-			queries := [][]int32{{0, int32(n - 1)}}
+			queries := [][]int{{0, n - 1}}
 			if n <= 1000 {
-				all := make([]int32, n)
+				all := make([]int, n)
 				for v := range all {
-					all[v] = int32(v)
+					all[v] = v
 				}
 				queries = append(queries, all)
 			}
 			for _, size := range []int{1, 7, 200} {
-				q := make([]int32, size)
+				q := make([]int, size)
 				for i := range q {
-					q[i] = int32(rng.Intn(n))
+					q[i] = rng.Intn(n)
 				}
 				queries = append(queries, q)
 			}
 			for _, q := range queries {
-				w.Record(n, seed)
-				buf = w.Walk(buf, q, tracked)
-				if len(buf) != len(q) {
-					t.Fatalf("n=%d seed=%d: %d IDs for %d nodes", n, seed, len(buf), len(q))
+				for _, v := range q {
+					set.Add(v)
 				}
-				for i, v := range q {
-					if buf[i] != perm[v] {
-						t.Fatalf("n=%d seed=%d: node %d has ID %d, PermutedIDs %d", n, seed, v, buf[i], perm[v])
+				want := set.Indices()
+				w.Record(n, seed)
+				nodes, ids := w.Walk(set)
+				if len(nodes) != len(want) || len(ids) != len(want) {
+					t.Fatalf("n=%d seed=%d: %d nodes and %d IDs for %d queried", n, seed, len(nodes), len(ids), len(want))
+				}
+				for i, v := range want {
+					if int(nodes[i]) != v || ids[i] != perm[v] {
+						t.Fatalf("n=%d seed=%d: entry %d is node %d ID %d, want node %d PermutedIDs %d", n, seed, i, nodes[i], ids[i], v, perm[v])
 					}
 				}
-				if c := tracked.Count(); c != 0 {
-					t.Fatalf("n=%d seed=%d: %d tracked bits left set", n, seed, c)
+				if c := set.Count(); c != 0 {
+					t.Fatalf("n=%d seed=%d: %d set bits left after the walk", n, seed, c)
 				}
 			}
 		}
@@ -88,16 +92,19 @@ func BenchmarkPermutedIDs(b *testing.B) {
 	})
 	b.Run("sampled-1000", func(b *testing.B) {
 		var w IDWalk
-		tracked := bitset.New(n)
+		set := bitset.New(n)
 		rng := rand.New(rand.NewSource(1))
-		nodes := make([]int32, sampled)
+		nodes := make([]int, sampled)
 		for i := range nodes {
-			nodes[i] = int32(rng.Intn(n))
+			nodes[i] = rng.Intn(n)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			for _, v := range nodes {
+				set.Add(v)
+			}
 			w.Record(n, int64(i))
-			benchIDs = w.Walk(benchIDs, nodes, tracked)
+			_, benchIDs = w.Walk(set)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"nearclique/internal/bitset"
 	"nearclique/internal/graph"
 )
@@ -24,16 +26,15 @@ func newSeqComp(members []int, ver int) *seqComp {
 }
 
 // electRoot sets the component's root, the minimum-protocol-ID member
-// (the spanning-tree root the distributed protocol elects); ids[i] is
-// the protocol ID of members[i].
-func (sc *seqComp) electRoot(ids []int64) {
-	r := 0
-	for i, id := range ids {
-		if id < ids[r] {
-			r = i
+// (the spanning-tree root the distributed protocol elects), given the
+// IDs of ascending nodes that include every member.
+func (sc *seqComp) electRoot(nodes []int32, ids []int64) {
+	for i, m := range sc.members {
+		q, _ := slices.BinarySearch(nodes, m)
+		if i == 0 || ids[q] < sc.rootID {
+			sc.rootIdx, sc.rootID = m, ids[q]
 		}
 	}
-	sc.rootIdx, sc.rootID = sc.members[r], ids[r]
 }
 
 // canAnnounce reports whether the component can ever announce a

@@ -169,27 +169,37 @@ func TestFindContextCancelDeterministicPartialMetrics(t *testing.T) {
 // TestFindSequentialCancelBetweenVersions pins the sequential engine's
 // cancellation points: the Progress hook after version 0 cancels, version
 // 1 never runs, and the partial result still carries version 0's sample
-// size.
+// size and n all-⊥ labels, at Parallelism 1 and 2.
 func TestFindSequentialCancelBetweenVersions(t *testing.T) {
 	g := gen.PlantedNearClique(400, 120, 0.01, 0.02, 5).Graph
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	res, err := FindSequentialContext(ctx, g, Options{
-		Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 3,
-		Progress: func(p Progress) {
-			if p.Version == 0 {
-				cancel()
+	for _, par := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := FindSequentialContext(ctx, g, Options{
+			Epsilon: 0.25, ExpectedSample: 6, Seed: 3, Versions: 3, Parallelism: par,
+			Progress: func(p Progress) {
+				if p.Version == 0 {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Parallelism %d: want wrapped context.Canceled, got %v", par, err)
+		}
+		if res.SampleSizes[0] == 0 {
+			t.Fatalf("Parallelism %d: version 0 sample size missing from partial result", par)
+		}
+		if res.SampleSizes[1] != 0 || res.SampleSizes[2] != 0 {
+			t.Fatalf("Parallelism %d: versions after the cancellation point ran: %v", par, res.SampleSizes)
+		}
+		if len(res.Labels) != g.N() {
+			t.Fatalf("Parallelism %d: %d labels for %d nodes", par, len(res.Labels), g.N())
+		}
+		for v, l := range res.Labels {
+			if l != NoLabel {
+				t.Fatalf("Parallelism %d: node %d labeled %d in a canceled run", par, v, l)
 			}
-		},
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want wrapped context.Canceled, got %v", err)
-	}
-	if res.SampleSizes[0] == 0 {
-		t.Fatal("version 0 sample size missing from partial result")
-	}
-	if res.SampleSizes[1] != 0 || res.SampleSizes[2] != 0 {
-		t.Fatalf("versions after the cancellation point ran: %v", res.SampleSizes)
+		}
 	}
 }
 

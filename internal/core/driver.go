@@ -71,11 +71,8 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, er
 	})
 
 	res := &Result{
-		Labels:      make([]int64, g.N()),
+		Labels:      newLabels(g.N()),
 		SampleSizes: make([]int, opts.Versions),
-	}
-	for i := range res.Labels {
-		res.Labels[i] = NoLabel
 	}
 
 	abort := func(err error) (*Result, error) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nearclique/internal/bitset"
+	"nearclique/internal/congest"
 	"nearclique/internal/flight"
 	"nearclique/internal/gen"
 	"nearclique/internal/graph"
@@ -37,7 +38,7 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 			}
 			scratch := getSeqScratch()
 			res := &Result{SampleSizes: make([]int, opts.Versions)}
-			_, err = collectComps(context.Background(), g, opts, scratch, nil, res, func(sc *seqComp) {
+			_, err = collectComps(context.Background(), g, opts, scratch, nil, res, false, func(sc *seqComp) {
 				if c := scratch.mark.Count(); c != 0 {
 					t.Fatalf("%s seed %d: %d mark bits left set after a component", name, seed, c)
 				}
@@ -77,13 +78,15 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 
 // TestReplayScratchZeroAfterRun pins the all-zero invariant of the
 // pooled scratch that the replay sets and clears entry by entry — the
-// K/T kernel's dense voter index, and the mark set that dedups voters,
-// tracks the ID walk's positions and holds a density check's T set when
-// its component keeps no rows —
-// after a solve, after a search and its probes, and after an
-// ErrComponentTooLarge abort that follows built components. A search
-// leaves them all-zero whether it ends in a result, in ErrNotFound or
-// canceled between probes, and so does every probe's density check.
+// K/T kernel's dense voter index, the mark set that dedups voters and
+// holds a density check's T set when its component keeps no rows, and
+// the union of the samples that the ID walk tracks its positions in —
+// after a solve, after a search and its probes, after an
+// ErrComponentTooLarge abort that follows built components, and after
+// a cancellation, including one before the last coin pass, which
+// leaves the union unwalked. A search leaves them all-zero whether it
+// ends in a result, in ErrNotFound or canceled between probes, and so
+// does every probe's density check.
 func TestReplayScratchZeroAfterRun(t *testing.T) {
 	ctx := context.Background()
 	g := gen.PlantedNearClique(400, 120, 0.1, 0.02, 5).Graph
@@ -93,6 +96,9 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 		t.Helper()
 		if c := scratch.mark.Count(); c != 0 {
 			t.Fatalf("%s: %d mark bits left set", stage, c)
+		}
+		if c := scratch.union.Count(); c != 0 {
+			t.Fatalf("%s: %d union bits left set", stage, c)
 		}
 		for v, p := range scratch.kt.voterPos {
 			if p != 0 {
@@ -112,8 +118,8 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{Labels: make([]int64, g.N()), SampleSizes: make([]int, opts.Versions)}
-	comps, err := collectComps(ctx, g, opts, scratch, nil, res, func(sc *seqComp) {
+	res := &Result{SampleSizes: make([]int, opts.Versions)}
+	comps, err := collectComps(ctx, g, opts, scratch, nil, res, true, func(sc *seqComp) {
 		sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 	})
 	if err != nil {
@@ -159,18 +165,29 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 
 	opts.MaxComponentSize = 6 // seed 1 builds six components, then meets one of seven
 	res = &Result{SampleSizes: make([]int, opts.Versions)}
-	comps, err = collectComps(ctx, g, opts, scratch, nil, res, func(*seqComp) {})
+	comps, err = collectComps(ctx, g, opts, scratch, nil, res, false, func(*seqComp) {})
 	if !errors.Is(err, ErrComponentTooLarge) {
 		t.Fatalf("abort: err %v, want ErrComponentTooLarge", err)
 	}
 	check("abort", comps)
 
-	// On two workers the ID draws are recorded by a worker of their own
-	// from the start of the traversal. A run canceled at its first
-	// component, and one aborted by its first component of two nodes,
-	// return while that worker is most likely still drawing: each must
-	// join it, so the solve that follows on the same scratch — whose
-	// own draw worker rewrites the draws — races with nothing (under
+	// 65 versions take two coin passes; canceled in version 0, the run
+	// has ORed the first pass into the union and never walks it.
+	many := opts
+	many.Versions, many.MaxComponentSize = 65, DefaultMaxComponentSize
+	res = &Result{SampleSizes: make([]int, many.Versions)}
+	_, err = collectComps(&cancelAfter{live: 1}, g, many, scratch, nil, res, true, func(*seqComp) {})
+	if !errors.Is(err, context.Canceled) || res.SampleSizes[0] == 0 {
+		t.Fatalf("canceled in version 0 of 65: err %v, sample %d", err, res.SampleSizes[0])
+	}
+	zero("canceled before the last coin pass")
+
+	// On two workers the Labels fill, the ID draws and the walk run on
+	// a worker of their own from the last coin pass on. A run canceled
+	// at its first component, and one aborted by its first component of
+	// two nodes, return while that worker is most likely still at work:
+	// each must join it, so the solve that follows on the same scratch
+	// — whose own worker rewrites the draws — races with nothing (under
 	// -race) and elects the roots a fresh solve elects.
 	big, bigOpts := parallelInstance()
 	bigOpts, err = bigOpts.validated(big.N())
@@ -179,14 +196,11 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	}
 	bigOpts.Parallelism = 2
 	if parts(big.N(), 2) < 2 {
-		t.Fatalf("n = %d starts no draw worker; the runs below would be serial", big.N())
+		t.Fatalf("n = %d starts no roots worker; the runs below would be serial", big.N())
 	}
 	solve := func(stage string, ctx context.Context, opts Options) (*Result, []*seqComp, error) {
-		res := &Result{Labels: make([]int64, big.N()), SampleSizes: make([]int, opts.Versions)}
-		for i := range res.Labels {
-			res.Labels[i] = NoLabel
-		}
-		comps, err := collectComps(ctx, big, opts, scratch, nil, res, func(sc *seqComp) {
+		res := &Result{SampleSizes: make([]int, opts.Versions)}
+		comps, err := collectComps(ctx, big, opts, scratch, nil, res, true, func(sc *seqComp) {
 			sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 		})
 		if err == nil {
@@ -220,7 +234,7 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 
 // parallelInstance is the shape that crosses the replay's split
 // thresholds at two workers: n = 2e4 nodes sample in two ranges and
-// start the draw worker, and the planted set of 600 (degree ≈ 600 each)
+// start the roots worker, and the planted set of 600 (degree ≈ 600 each)
 // gives its components an adjacency of well over 2·minPartWork entries,
 // above the diagonal as well as in all, so their rows are filled and
 // their histograms built in two runs.
@@ -228,6 +242,153 @@ func parallelInstance() (*graph.Graph, Options) {
 	const n, size = 20_000, 600
 	g := gen.SparsePlantedNearClique(n, size, 0.25*0.25*0.25, 10, 1).Graph
 	return g, Options{Epsilon: 0.25, ExpectedSample: 2 * float64(n) / size, Seed: 1, Versions: 2}
+}
+
+// TestElectRootsMatchPermutedIDs pins the roots that electRoots looks
+// up in the walked union of the samples: every component's root is its
+// member of least PermutedIDs(n, seed) ID, over one and two coin
+// passes, at Parallelism 1 and 2, at an n where the roots worker runs
+// and at one where the same steps run inline. Nodes sampled in several
+// versions are walked once.
+func TestElectRootsMatchPermutedIDs(t *testing.T) {
+	big, bigOpts := parallelInstance()
+	small := gen.SparsePlantedNearClique(2000, 200, 0.25*0.25*0.25, 10, 1).Graph
+	smallOpts := Options{Epsilon: 0.25, ExpectedSample: 20, Seed: 1}
+	if parts(big.N(), 2) < 2 || parts(small.N(), 2) > 1 {
+		t.Fatalf("n = %d must start the roots worker at Parallelism 2 and n = %d must not", big.N(), small.N())
+	}
+	resampled := 0 // nodes sampled in two or more versions of one run
+	for _, inst := range []struct {
+		g    *graph.Graph
+		opts Options
+	}{{big, bigOpts}, {small, smallOpts}} {
+		n := inst.g.N()
+		perm := congest.PermutedIDs(n, inst.opts.Seed)
+		for _, versions := range []int{1, 4, 64, 65, 130} {
+			for _, par := range []int{1, 2} {
+				o := inst.opts
+				// A floor above n builds no K/T tables; the roots do not read them.
+				o.Versions, o.Parallelism, o.MinSize = versions, par, n+1
+				opts, err := o.validated(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch := getSeqScratch()
+				res := &Result{SampleSizes: make([]int, versions)}
+				comps, err := collectComps(context.Background(), inst.g, opts, scratch, nil, res, false, func(*seqComp) {})
+				putSeqScratch(scratch)
+				if err != nil {
+					t.Fatalf("n=%d versions=%d par=%d: %v", n, versions, par, err)
+				}
+				if len(comps) == 0 {
+					t.Fatalf("n=%d versions=%d par=%d: no component; the check would be vacuous", n, versions, par)
+				}
+				times := map[int32]int{}
+				for _, sc := range comps {
+					root := sc.members[0]
+					for _, m := range sc.members {
+						if times[m]++; times[m] == 2 {
+							resampled++
+						}
+						if perm[m] < perm[root] {
+							root = m
+						}
+					}
+					if sc.rootIdx != root || sc.rootID != perm[root] {
+						t.Fatalf("n=%d versions=%d par=%d: version %d component %v has root %d (ID %d), want %d (ID %d)",
+							n, versions, par, sc.version, sc.members, sc.rootIdx, sc.rootID, root, perm[root])
+					}
+				}
+			}
+		}
+	}
+	if resampled == 0 {
+		t.Fatal("no node was sampled in two versions; the dedup case went untested")
+	}
+}
+
+// TestFailedReplayLabelsAllBottom pins the failure contract of a solve
+// whose Labels the roots worker may make: canceled before its first
+// coin pass, canceled after version 0, or aborted by
+// ErrComponentTooLarge, a run returns n all-⊥ labels and an all-zero
+// union, at Parallelism 1 and 2, with the worker started (3 versions,
+// one coin pass) and not yet started (65 versions, whose second pass
+// never runs). A run that fails before its last coin pass never walks.
+func TestFailedReplayLabelsAllBottom(t *testing.T) {
+	g, base := parallelInstance()
+	if parts(g.N(), 2) < 2 {
+		t.Fatalf("n = %d starts no roots worker; the runs below would be serial", g.N())
+	}
+	for _, versions := range []int{3, 65} {
+		for _, par := range []int{1, 2} {
+			cases := []struct {
+				name   string
+				ctx    func(o *Options) context.Context
+				maxC   int
+				want   error
+				walked bool // whether the walk may have started
+			}{
+				{"canceled before the first coin pass", func(*Options) context.Context {
+					ctx, cancel := context.WithCancel(context.Background())
+					cancel()
+					return ctx
+				}, 0, context.Canceled, false},
+				{"canceled after version 0", func(o *Options) context.Context {
+					ctx, cancel := context.WithCancel(context.Background())
+					o.Progress = func(p Progress) {
+						if p.Version == 0 {
+							cancel()
+						}
+					}
+					return ctx
+				}, 0, context.Canceled, versions <= 64},
+				{"aborted", func(*Options) context.Context { return context.Background() },
+					1, ErrComponentTooLarge, versions <= 64},
+			}
+			for _, c := range cases {
+				o := base
+				o.Versions, o.Parallelism, o.MaxComponentSize = versions, par, c.maxC
+				ctx := c.ctx(&o)
+				opts, err := o.validated(g.N())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scratch := new(seqScratch)
+				res := &Result{SampleSizes: make([]int, versions)}
+				_, err = collectComps(ctx, g, opts, scratch, nil, res, true, func(*seqComp) {})
+				stage := fmt.Sprintf("versions=%d par=%d %s", versions, par, c.name)
+				if !errors.Is(err, c.want) {
+					t.Fatalf("%s: err %v, want %v", stage, err, c.want)
+				}
+				if len(res.Labels) != g.N() {
+					t.Fatalf("%s: %d labels for %d nodes", stage, len(res.Labels), g.N())
+				}
+				for v, l := range res.Labels {
+					if l != NoLabel {
+						t.Fatalf("%s: node %d labeled %d", stage, v, l)
+					}
+				}
+				if n := scratch.union.Count(); n != 0 {
+					t.Fatalf("%s: %d union bits left set", stage, n)
+				}
+				if !c.walked && scratch.nodes != nil {
+					t.Fatalf("%s: the ID walk ran", stage)
+				}
+			}
+		}
+	}
+
+	// A worker that reaches the walk after the run has failed skips it.
+	scratch := new(seqScratch)
+	scratch.sizeFor(g.N(), 1)
+	scratch.union.Add(0)
+	scratch.failed.Store(true)
+	res := &Result{}
+	scratch.startRoots(g.N(), 1, res, true, true)
+	scratch.worker.Wait()
+	if len(res.Labels) != g.N() || scratch.nodes != nil {
+		t.Fatalf("worker started after a failure: %d labels, walked %v", len(res.Labels), scratch.nodes != nil)
+	}
 }
 
 // TestParallelReplayBitIdentical pins the parallel replay to the serial

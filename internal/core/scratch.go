@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/congest"
@@ -17,26 +18,27 @@ const seqCtxCheckEvery = 64
 // seqScratch is the reusable per-run state of the centralized replay and
 // the cached search. Its graph-sized part holds no pointers: the
 // cluster kernels' traversal scratch, the sample sets of up to
-// congest.MaxFusedVersions versions that one coin pass fills, the mark
-// set that dedups a component's voters and tracks the ID walk's
-// positions, the ID walk's recorded draws, and the K/T kernel's dense
-// voter index. The mark set and the voter index are all-zero between
-// components. A density check of a component without rows borrows the
-// mark set and clears it again. The coins keep no per-node array of
-// their own. Batch serving solves many graphs back to back, often
-// concurrently, so the scratch lives in a sync.Pool: each in-flight run
-// owns one scratch exclusively, and parallel SolveBatch workers draw
-// distinct instances.
+// congest.MaxFusedVersions versions that one coin pass fills, their
+// union (the ID walk's tracked set, all-zero between runs), the mark
+// set that dedups a component's voters, the ID walk's recorded draws,
+// and the K/T kernel's dense voter index. The mark set and the voter
+// index are all-zero between components. A density check of a
+// component without rows borrows the mark set and clears it again.
+// Batch serving solves many graphs back to back, often concurrently,
+// so the scratch lives in a sync.Pool: each in-flight run owns one
+// scratch exclusively, and parallel SolveBatch workers draw distinct
+// instances.
 type seqScratch struct {
-	coins      congest.Coins
-	walk       congest.IDWalk
-	draws      sync.WaitGroup // the worker recording walk's draws
-	drawsAhead bool           // a worker records them (startDraws)
-	nodes      []int32        // every component's members, the ID walk's queries
-	ids        []int64        // their protocol IDs
+	coins  congest.Coins
+	walk   congest.IDWalk
+	worker sync.WaitGroup // the roots worker (startRoots)
+	failed atomic.Bool    // the run has failed: the worker skips the walk
+	nodes  []int32        // the union's nodes, ascending, after the walk
+	ids    []int64        // their protocol IDs
 
 	fsc      *frontier.Scratch
 	samples  []*bitset.Set // per version of the running coin pass
+	union    *bitset.Set   // every pass's samples; the walk's tracked set
 	inS      *bitset.Set   // the running version's, one of samples
 	mark     *bitset.Set
 	voterBuf []int
@@ -45,8 +47,8 @@ type seqScratch struct {
 }
 
 // sizeFor sizes the graph-sized scratch for an n-vertex graph and a run
-// of the given versions. The mark set stays all-zero across runs; every
-// coin pass overwrites the sample sets it fills.
+// of the given versions. The union and the mark set stay all-zero
+// across runs; every coin pass overwrites the sample sets it fills.
 func (s *seqScratch) sizeFor(n, versions int) {
 	if s.fsc == nil {
 		s.fsc = frontier.NewScratch(n)
@@ -54,7 +56,7 @@ func (s *seqScratch) sizeFor(n, versions int) {
 		s.fsc.Ensure(n)
 	}
 	if s.mark == nil || s.mark.Len() != n {
-		s.mark = bitset.New(n)
+		s.mark, s.union = bitset.New(n), bitset.New(n)
 		s.samples = nil
 	}
 	for len(s.samples) < min(versions, congest.MaxFusedVersions) {

@@ -135,7 +135,7 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 	}
 	c := &searchCache{g: g, opts: opts, need: need, kt: &scratch.kt, ft: newFlightTrace(so.Flight)}
 	res := &Result{SampleSizes: make([]int, opts.Versions)}
-	comps, err := collectComps(ctx, g, opts, scratch, c.ft, res, func(*seqComp) {})
+	comps, err := collectComps(ctx, g, opts, scratch, c.ft, res, false, func(*seqComp) {})
 	c.sampleSizes, c.maxComponent = res.SampleSizes, res.MaxComponent
 	if err != nil {
 		if errors.Is(err, ErrComponentTooLarge) {
@@ -218,12 +218,9 @@ func (c *searchCache) density(ci int) float64 {
 // returns.
 func (c *searchCache) materialize(eps float64) *Result {
 	res := &Result{
-		Labels:       make([]int64, c.g.N()),
+		Labels:       newLabels(c.g.N()),
 		SampleSizes:  append([]int(nil), c.sampleSizes...),
 		MaxComponent: c.maxComponent,
-	}
-	for i := range res.Labels {
-		res.Labels[i] = NoLabel
 	}
 	c.evaluate(eps)
 	decideAndCommit(c.g, c.opts, c.comps, &c.ballot, res, c.kt, c.set)

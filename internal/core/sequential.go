@@ -41,30 +41,23 @@ func FindSequential(g *graph.Graph, opts Options) (*Result, error) {
 // boosting version and for the decision stage. The simulator Metrics
 // stay zero: nothing is simulated.
 //
-// Per-run scratch (the ID walk's draws, the traversal sets, the voter
-// index) is drawn from a package-level pool, so repeated solves — in
-// particular concurrent batch serving over shared immutable graphs — do
-// not reallocate it. Pooling is invisible in the outputs: re-keyed
-// streams are bit-identical to fresh ones.
+// Per-run scratch (the ID walk's draws, the sample and traversal sets,
+// the voter index) is drawn from a package-level pool, so repeated
+// solves — in particular concurrent batch serving over shared immutable
+// graphs — do not reallocate it. Pooling is invisible in the outputs:
+// re-keyed streams are bit-identical to fresh ones.
 func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	opts, err := opts.validated(g.N())
 	if err != nil {
 		return nil, err
 	}
-	n := g.N()
-	res := &Result{
-		Labels:      make([]int64, n),
-		SampleSizes: make([]int, opts.Versions),
-	}
-	for i := range res.Labels {
-		res.Labels[i] = NoLabel
-	}
+	res := &Result{SampleSizes: make([]int, opts.Versions)}
 
 	scratch := getSeqScratch()
 	defer putSeqScratch(scratch)
 
 	ft := newFlightTrace(opts.Flight)
-	comps, err := collectComps(ctx, g, opts, scratch, ft, res, func(sc *seqComp) {
+	comps, err := collectComps(ctx, g, opts, scratch, ft, res, true, func(sc *seqComp) {
 		sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 	})
 	if err != nil {
@@ -86,24 +79,41 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 	return res, nil
 }
 
+// newLabels returns n all-⊥ labels.
+func newLabels(n int) []int64 {
+	labels := make([]int64, n)
+	for i := range labels {
+		labels[i] = NoLabel
+	}
+	return labels
+}
+
 // collectComps runs the ε-invariant half of a replay: the sampling coins
 // (version j draws the (2j+1)-th and (2j+2)-th floats of each node's
 // stream, exactly as the distributed nodes do; one pass in the phase of
 // version 0, and of every congest.MaxFusedVersions-th version after it,
 // draws the coins of that many versions), 64-seed batched
 // component discovery, each component's voters, and — for one that can
-// announce — its ε-invariant K/T kernel tables. visit observes each
+// announce — its ε-invariant K/T kernel tables. Every pass ORs its
+// samples into the union, and the last starts the Labels (if labels)
+// and the ID walk over the union beside the traversal (startRoots); a
+// failed run skips the walk and returns all-⊥ Labels. visit observes each
 // component in transcript order — the solve finishes thresholds there,
 // the search cache defers them to its probes. Shared so that a solve
 // and a search probe provably traverse identically.
-func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) ([]*seqComp, error) {
+func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, labels bool, visit func(sc *seqComp)) (comps []*seqComp, err error) {
 	n := g.N()
 	par := workers(opts.Parallelism)
 	scratch.sizeFor(n, opts.Versions)
-	scratch.startDraws(n, opts.Seed, par)
-	// The draw worker writes the scratch: join it before the scratch can
-	// go back to the pool, however the traversal ends.
-	defer scratch.draws.Wait()
+	defer func() { // however the run ends, join the worker before the pool gets the scratch
+		scratch.failed.Store(true) // a worker that has not begun the walk skips it
+		scratch.worker.Wait()
+		scratch.failed.Store(false)
+		scratch.union.Clear() // all-zero already unless the run never walked
+		if err != nil && labels && res.Labels == nil {
+			res.Labels = newLabels(n)
+		}
+	}()
 
 	p1 := opts.P / 2
 	p2 := 0.0
@@ -112,7 +122,6 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 	}
 	scratch.coins.Reset(opts.Seed, p1, p2)
 
-	var comps []*seqComp
 	for ver := 0; ver < opts.Versions; ver++ {
 		if err := ctx.Err(); err != nil {
 			return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
@@ -120,7 +129,14 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 		ft.begin(fmt.Sprintf("v%d/explore", ver))
 		k := ver % congest.MaxFusedVersions
 		if k == 0 {
-			scratch.coins.Draw(scratch.samples[:min(opts.Versions-ver, congest.MaxFusedVersions)], parts(n, par))
+			pass := scratch.samples[:min(opts.Versions-ver, congest.MaxFusedVersions)]
+			scratch.coins.Draw(pass, parts(n, par))
+			for _, set := range pass {
+				scratch.union.Union(set)
+			}
+			if ver+congest.MaxFusedVersions >= opts.Versions {
+				scratch.startRoots(n, opts.Seed, res, labels, parts(n, par) > 1)
+			}
 		}
 		scratch.inS = scratch.samples[k]
 		res.SampleSizes[ver] = scratch.inS.Count()
@@ -148,7 +164,7 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 			comps = append(comps, sc)
 		}
 		if ver == opts.Versions-1 {
-			scratch.electRoots(comps, n, opts.Seed)
+			scratch.electRoots(comps)
 		}
 		ft.end(res.SampleSizes[ver])
 		if opts.Progress != nil {
@@ -161,40 +177,39 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 	return comps, nil
 }
 
-// startDraws starts recording the ID walk's draws, which depend on
-// (n, seed) alone, on a worker of its own while the traversal runs —
-// when the replay has more than one worker and n is worth one.
-// Otherwise electRoots records them itself.
-func (s *seqScratch) startDraws(n int, seed int64, par int) {
-	s.drawsAhead = parts(n, par) > 1
-	if s.drawsAhead {
-		s.draws.Add(1)
-		go func() {
-			defer s.draws.Done()
-			s.walk.Record(n, seed)
-		}()
+// startRoots makes all-⊥ res.Labels if labels, records the ID draws,
+// and walks the union unless the run has failed by then, leaving the
+// IDs in s.nodes and s.ids: on a worker of its own if ahead, inline
+// otherwise. It reads and writes nothing the traversal touches.
+func (s *seqScratch) startRoots(n int, seed int64, res *Result, labels, ahead bool) {
+	roots := func() {
+		if labels {
+			res.Labels = newLabels(n)
+		}
+		s.walk.Record(n, seed)
+		if !s.failed.Load() {
+			s.nodes, s.ids = s.walk.Walk(s.union)
+		}
 	}
+	if !ahead {
+		roots()
+		return
+	}
+	s.worker.Add(1)
+	go func() {
+		defer s.worker.Done()
+		roots()
+	}()
 }
 
-// electRoots sets every component's root, the member of minimum
-// protocol ID that the distributed protocol elects. The IDs come from
-// one backward walk over the ID permutation's draws that tracks only the
-// members (congest.IDWalk), so the replay never builds the n-node
-// permutation. Nothing reads a root before the decision stage.
-func (s *seqScratch) electRoots(comps []*seqComp, n int, seed int64) {
-	s.nodes = s.nodes[:0]
+// electRoots joins the roots worker and sets every component's root by
+// looking its members' IDs up in the walked union, so the replay never
+// builds the n-node permutation. Nothing reads a root before the
+// decision stage.
+func (s *seqScratch) electRoots(comps []*seqComp) {
+	s.worker.Wait()
 	for _, sc := range comps {
-		s.nodes = append(s.nodes, sc.members...)
-	}
-	s.draws.Wait()
-	if !s.drawsAhead && len(s.nodes) > 0 {
-		s.walk.Record(n, seed)
-	}
-	s.ids = s.walk.Walk(s.ids, s.nodes, s.mark)
-	ids := s.ids
-	for _, sc := range comps {
-		sc.electRoot(ids[:len(sc.members)])
-		ids = ids[len(sc.members):]
+		sc.electRoot(s.nodes, s.ids)
 	}
 }
 
