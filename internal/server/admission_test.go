@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -131,38 +133,120 @@ func TestDrainWaitsForInFlightAndRefusesNew(t *testing.T) {
 	}
 }
 
+// runEndpoint is one way a request executes: /v1/solve, /v1/count, or
+// the first item of a /v1/batch. post sends the request spelled by
+// fields (a JSON fragment after "graph") and returns the HTTP status, the
+// executed record's line, and the X-Nearclique-Cache header ("" for a
+// batch). A batch carries a second, clean item after it (a fresh seed
+// each call, so it never hits the cache), whose line must stream
+// whatever happened to the first.
+type runEndpoint struct {
+	name   string
+	engine string // the record's engine field
+	inBand bool   // failures ride in the stream, under a 200
+	post   func(t *testing.T, url, fields string) (int, []byte, string)
+}
+
+func runEndpoints() []runEndpoint {
+	next := 1000
+	return []runEndpoint{
+		{name: "solve", engine: "auto", post: func(t *testing.T, url, fields string) (int, []byte, string) {
+			return post(t, url+"/v1/solve", `{"graph":"g",`+fields+`}`)
+		}},
+		{name: "count", engine: "shadow", post: func(t *testing.T, url, fields string) (int, []byte, string) {
+			return post(t, url+"/v1/count", `{"graph":"g","k":3,"samples":128,`+fields+`}`)
+		}},
+		{name: "batch", engine: "auto", inBand: true, post: func(t *testing.T, url, fields string) (int, []byte, string) {
+			t.Helper()
+			next++
+			status, body, cache := post(t, url+"/v1/batch",
+				fmt.Sprintf(`{"requests":[{"graph":"g",%s},{"graph":"g","seed":%d}]}`, fields, next))
+			lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+			if status != http.StatusOK || len(lines) != 2 {
+				t.Fatalf("batch: status %d, %d lines, want 200 and 2: %s", status, len(lines), body)
+			}
+			var companion report.Run
+			if err := json.Unmarshal(lines[1], &companion); err != nil || companion.Error != "" {
+				t.Fatalf("the item after the first did not stream cleanly: %s (%v)", lines[1], err)
+			}
+			return status, lines[0], cache
+		}},
+	}
+}
+
+// runLine is the part of a Run or CountRun line these tests read.
+type runLine struct {
+	Engine string `json:"engine"`
+	Error  string `json:"error"`
+}
+
+func decodeRunLine(t *testing.T, line []byte) runLine {
+	t.Helper()
+	var rl runLine
+	if err := json.Unmarshal(line, &rl); err != nil {
+		t.Fatalf("decoding %s: %v", line, err)
+	}
+	return rl
+}
+
+// checkMissLedger pins /statz's misses == executed solves: every executed
+// run, panicked ones included, is one per-graph solve, one per-graph
+// miss and one cache miss.
+func checkMissLedger(t *testing.T, s *Server) {
+	t.Helper()
+	st := s.Stats()
+	g := st.Graphs[0]
+	if g.Solves != g.CacheMisses || g.CacheMisses != st.Cache.Misses {
+		t.Fatalf("miss ledger broken: solves=%d cache_misses=%d Cache.Misses=%d, want all equal",
+			g.Solves, g.CacheMisses, st.Cache.Misses)
+	}
+}
+
+// newHookedServer serves one loaded graph on one worker with the cache
+// on, so the miss ledger is kept.
+func newHookedServer(t *testing.T) (*Server, string) {
+	t.Helper()
+	s := New(Config{Concurrency: 1, CacheBytes: 1 << 20})
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	if _, err := s.LoadGraph("g", writeTestSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	return s, ts.URL
+}
+
 // TestRequestTimeoutMapsToGatewayTimeout: a deadline that expires while
 // the job waits (the hook stalls past it) surfaces as 504 with the
-// partial-run record — the wrapped context.DeadlineExceeded path.
+// partial-run record — the wrapped context.DeadlineExceeded path — on
+// every endpoint (in band on a batch item), and the retry executes.
 func TestRequestTimeoutMapsToGatewayTimeout(t *testing.T) {
-	path := writeTestSnapshot(t)
-	s := New(Config{Concurrency: 1, CacheBytes: -1})
-	defer s.Close()
-	s.testHookBeforeSolve = func() { time.Sleep(30 * time.Millisecond) }
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if _, err := s.LoadGraph("g", path); err != nil {
-		t.Fatal(err)
-	}
+	for _, ep := range runEndpoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			s, url := newHookedServer(t)
+			s.testHookBeforeSolve = func() { time.Sleep(30 * time.Millisecond) }
 
-	status, body, cache := post(t, ts.URL+"/v1/solve", `{"graph":"g","seed":1,"timeout_ms":1}`)
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("expired deadline: status %d body %s, want 504", status, body)
-	}
-	var run report.Run
-	if err := json.Unmarshal(body, &run); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(run.Error, "deadline exceeded") {
-		t.Fatalf("run error %q does not surface the deadline", run.Error)
-	}
-	if cache != "miss" {
-		t.Fatalf("timed-out run reported cache %q", cache)
-	}
-	// Failed runs are never cached: the retry re-executes.
-	s.testHookBeforeSolve = nil
-	if status, _, c := post(t, ts.URL+"/v1/solve", `{"graph":"g","seed":1,"timeout_ms":0}`); status != http.StatusOK || c != "miss" {
-		t.Fatalf("retry after timeout: status %d cache %q, want 200 miss", status, c)
+			status, line, cache := ep.post(t, url, `"seed":1,"timeout_ms":1`)
+			if !ep.inBand && status != http.StatusGatewayTimeout {
+				t.Fatalf("expired deadline: status %d body %s, want 504", status, line)
+			}
+			if run := decodeRunLine(t, line); run.Engine != ep.engine || !strings.Contains(run.Error, "deadline exceeded") {
+				t.Fatalf("run %s does not surface the deadline on a %s record", line, ep.engine)
+			}
+			if !ep.inBand && cache != "miss" {
+				t.Fatalf("timed-out run reported cache %q", cache)
+			}
+			// Failed runs are never cached: the retry re-executes.
+			s.testHookBeforeSolve = nil
+			status, line, cache = ep.post(t, url, `"seed":1,"timeout_ms":0`)
+			if run := decodeRunLine(t, line); status != http.StatusOK || run.Error != "" || (!ep.inBand && cache != "miss") {
+				t.Fatalf("retry after timeout: status %d cache %q line %s, want 200 miss", status, cache, line)
+			}
+			if hits := s.Stats().Cache.Hits; hits != 0 {
+				t.Fatalf("retry after timeout served %d cache hits, want a miss", hits)
+			}
+			checkMissLedger(t, s)
+		})
 	}
 }
 
@@ -204,36 +288,36 @@ func TestBatchDeadlinesAnchorAtAdmission(t *testing.T) {
 	}
 }
 
-// TestSolvePanicIsContained: a panic inside one solve must answer that
-// request with 500 and leave the worker pool fully serviceable — the
-// daemon, unlike the one-shot CLI, must outlive a poisoned request.
+// TestSolvePanicIsContained: a panic inside one run must answer that
+// request with 500 (in band on a batch item, whose stream goes on) and
+// leave the worker pool fully serviceable — the daemon, unlike the
+// one-shot CLI, must outlive a poisoned request. The panicked run still
+// executed, so the miss ledger counts it on both sides.
 func TestSolvePanicIsContained(t *testing.T) {
-	path := writeTestSnapshot(t)
-	s := New(Config{Concurrency: 1, CacheBytes: -1})
-	defer s.Close()
-	panics := true
-	s.testHookBeforeSolve = func() {
-		if panics {
-			panics = false
-			panic("poisoned request")
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if _, err := s.LoadGraph("g", path); err != nil {
-		t.Fatal(err)
-	}
+	for _, ep := range runEndpoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			s, url := newHookedServer(t)
+			panics := true
+			s.testHookBeforeSolve = func() {
+				if panics {
+					panics = false
+					panic("poisoned request")
+				}
+			}
 
-	status, body, _ := post(t, ts.URL+"/v1/solve", `{"graph":"g","seed":1}`)
-	if status != http.StatusInternalServerError {
-		t.Fatalf("panicking solve: status %d body %s, want 500", status, body)
-	}
-	if !strings.Contains(string(body), "poisoned request") {
-		t.Fatalf("panic not surfaced in the error body: %s", body)
-	}
-	// The pool survived: the next request is served normally.
-	if status, body, _ := post(t, ts.URL+"/v1/solve", `{"graph":"g","seed":2}`); status != http.StatusOK {
-		t.Fatalf("solve after panic: status %d body %s", status, body)
+			status, line, _ := ep.post(t, url, `"seed":1`)
+			if !ep.inBand && status != http.StatusInternalServerError {
+				t.Fatalf("panicking run: status %d body %s, want 500", status, line)
+			}
+			if run := decodeRunLine(t, line); run.Engine != ep.engine || !strings.Contains(run.Error, "poisoned request") {
+				t.Fatalf("panic not surfaced in a %s record's error: %s", ep.engine, line)
+			}
+			// The pool survived: the next request is served normally.
+			if status, line, _ := ep.post(t, url, `"seed":2`); status != http.StatusOK || decodeRunLine(t, line).Error != "" {
+				t.Fatalf("run after panic: status %d body %s", status, line)
+			}
+			checkMissLedger(t, s)
+		})
 	}
 }
 

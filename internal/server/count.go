@@ -3,16 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
 	"nearclique"
 	"nearclique/internal/costmodel"
-	"nearclique/internal/flight"
-	"nearclique/internal/obs"
 	"nearclique/internal/report"
 )
 
@@ -43,13 +39,7 @@ type countParams struct {
 	samples    int
 	confidence float64
 	seed       int64
-	timeout    time.Duration
-	// flight/flightRec/trace follow solveParams exactly: the window, the
-	// per-request recorder, and the span timeline, none of which enter
-	// the cache key because traced requests never touch the cache.
-	flight    int
-	flightRec *flight.Recorder
-	trace     *obs.Trace
+	runOpts
 }
 
 // resolve canonicalizes the request. Range validation (k, samples,
@@ -73,28 +63,14 @@ func (req *CountRequest) resolve(cfg Config) (countParams, error) {
 	if req.Seed != nil {
 		p.seed = *req.Seed
 	}
-	if req.TimeoutMS < 0 {
-		return p, fmt.Errorf("server: negative timeout_ms %d", req.TimeoutMS)
-	}
-	if req.TimeoutMS > 0 {
-		p.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	} else {
-		p.timeout = cfg.DefaultTimeout
-	}
-	if req.Flight < 0 {
-		return p, fmt.Errorf("server: negative flight %d", req.Flight)
-	}
-	p.flight = req.Flight
-	if p.flight > maxFlightEvents {
-		p.flight = maxFlightEvents
-	}
-	return p, nil
+	var err error
+	p.runOpts, err = resolveRunOpts(cfg, req.TimeoutMS, req.Flight)
+	return p, err
 }
 
 // solver builds the per-request counting Solver on the shadow engine.
-// Parallelism is capped under worker concurrency exactly like the solve
-// path — the estimator is bit-identical at any worker count (the shadow
-// conformance suite pins this), so the cap only affects speed.
+// The estimator is bit-identical at any worker count (the shadow
+// conformance suite pins this), so newSolver's cap only affects speed.
 func (p countParams) solver(concurrency int) (*nearclique.Solver, error) {
 	opts := []nearclique.Option{
 		nearclique.WithEngine(nearclique.EngineShadow),
@@ -104,14 +80,7 @@ func (p countParams) solver(concurrency int) (*nearclique.Solver, error) {
 		nearclique.WithConfidence(p.confidence),
 		nearclique.WithSeed(p.seed),
 	}
-	if p.flightRec != nil {
-		opts = append(opts, nearclique.WithFlightRecorder(p.flightRec))
-	}
-	if concurrency > 1 {
-		per := maxParallelismPer(concurrency)
-		opts = append(opts, nearclique.WithParallelism(per))
-	}
-	return nearclique.New(opts...)
+	return p.newSolver(concurrency, opts)
 }
 
 // countCacheKey is the counting twin of cacheKey: the graph digest, a
@@ -132,151 +101,50 @@ func countCacheKey(digest string, p countParams) string {
 		"|seed=" + strconv.FormatInt(p.seed, 10)
 }
 
-// countFeatures assembles cost-model features for a counting request:
-// the "shadow" engine family with the clique size and draw count that
-// drive its work term (costmodel.Features.work).
-func (s *Server) countFeatures(ent *entry, p countParams) costmodel.Features {
-	return costmodel.Features{
-		Engine:  "shadow",
-		N:       ent.g.N(),
-		M:       ent.g.M(),
-		Epsilon: p.eps,
-		Sample:  float64(p.samples),
-		K:       p.k,
-	}
-}
+func (req *CountRequest) graphName() string { return req.Graph }
 
-// runCount executes one counting query on the calling goroutine and
-// renders the CountRun schema — the counting twin of runSolve. The
-// outcome's bookkeeping fields repurpose rounds/frames as leaves/hits
-// (the estimator has no message rounds), which is what the /statz
+// newRun builds the counting Solver and binds it to g — the counting twin
+// of solveParams.newRun. It is priced as the "shadow" engine family, with
+// the clique size and draw count that drive its work term
+// (costmodel.Features.work). The estimator has no message rounds, so the
+// outcome's rounds/frames carry leaves/hits, which is what the /statz
 // flight aggregate and cost-model auxiliaries see.
-func (s *Server) runCount(ctx context.Context, solver *nearclique.Solver, p countParams, ent *entry) outcome {
-	if s.testHookBeforeSolve != nil {
-		s.testHookBeforeSolve()
+func (p *countParams) newRun(concurrency int, g *nearclique.Graph) (engineRun, error) {
+	solver, err := p.solver(concurrency)
+	if err != nil {
+		return engineRun{}, err
 	}
-	start := time.Now()
-	res, err := solver.Count(ctx, ent.g)
-	countEnd := time.Now()
-	ent.solves.Add(1)
-	rec := report.FromCount("shadow", ent.g, res, countEnd.Sub(start), err)
-	if p.flightRec != nil {
-		rec.Flight = report.FlightFromRecorder(p.flightRec, p.flight)
-	}
-	if p.trace != nil {
-		// Same span clock as runSolve: count boundaries from this
-		// goroutine, per-phase sub-spans (count/shadow-build,
-		// count/shadow-sample) rebased from the recorder's wall-stamped
-		// phase events, commit covering record assembly.
-		p.trace.Span("count", start, countEnd)
-		addPhaseSpans(p.trace, "count", p.flightRec, rec.Flight, p.trace.Since(start))
-		p.trace.Span("commit", countEnd, time.Now())
-		rec.Trace = wireTrace(p.trace)
-	}
-	body, merr := json.Marshal(rec)
-	if merr != nil {
-		return outcome{body: []byte(`{"error":"response encoding failed"}` + "\n"), status: http.StatusInternalServerError}
-	}
-	body = append(body, '\n')
-	status := http.StatusOK
-	switch {
-	case err == nil:
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = 499
-	default:
-		// Validation failures surfaced from the estimator itself (the
-		// handler prevalidates via New, so these are defensive) or a
-		// shadow arena budget blow: well-formed request, uncountable
-		// configuration.
-		status = http.StatusUnprocessableEntity
-	}
-	return outcome{
-		body: body, status: status, cacheable: err == nil,
-		wallNS: rec.WallNS,
-		rounds: int64(rec.CliqueLeaves + rec.NearLeaves),
-		frames: rec.CliqueHits + rec.NearHits,
-		flight: rec.Flight,
-	}
+	var res *nearclique.CountResult
+	return engineRun{
+		opts: p.runOpts,
+		span: "count",
+		feat: costmodel.Features{Engine: "shadow", N: g.N(), M: g.M(), Epsilon: p.eps, Sample: float64(p.samples), K: p.k},
+		call: func(ctx context.Context) (err error) {
+			res, err = solver.Count(ctx, g)
+			return err
+		},
+		record: func(wall time.Duration, err error, fs *report.FlightSample, tr *report.Trace) (any, outcome) {
+			rec := report.FromCount("shadow", g, res, wall, err)
+			rec.Flight, rec.Trace = fs, tr
+			return &rec, outcome{rounds: int64(rec.CliqueLeaves + rec.NearLeaves), frames: rec.CliqueHits + rec.NearHits}
+		},
+		panicked: func(wall time.Duration, err error) []byte {
+			body, _ := json.Marshal(report.FromCount("shadow", g, nil, wall, err))
+			return append(body, '\n')
+		},
+	}, nil
 }
 
-// safeCount is runCount behind the same panic barrier as safeSolve: a
-// panic reachable through one counting request costs that request a 500,
-// never the daemon.
-func (s *Server) safeCount(ctx context.Context, solver *nearclique.Solver, p countParams, ent *entry) (out outcome) {
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			rec := report.FromCount("shadow", ent.g, nil, time.Since(start),
-				fmt.Errorf("server: internal panic: %v", r))
-			body, _ := json.Marshal(rec)
-			out = outcome{body: append(body, '\n'), status: http.StatusInternalServerError}
-		}
-	}()
-	return s.runCount(ctx, solver, p, ent)
-}
-
-// handleCount serves POST /v1/count, mirroring handleSolve stage for
-// stage — decode, resolve, cache lookup keyed by canonical params, trace
-// opt-in with cache bypass, priced admission through the shared
-// admitRun path, honest cost-model training, miss accounting — so the
-// two endpoints can never disagree in /statz or /metricsz.
+// handleCount serves POST /v1/count through the same stages as
+// handleSolve — acceptRun, then serve — so the two endpoints can never
+// disagree in /statz or /metricsz.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	defer s.observeRequest("count", time.Now())
 	var req CountRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if params, ent := acceptRun(s, w, r, &req); ent != nil {
+		defer ent.release()
+		s.serve(w, r, ent, countCacheKey(ent.digest, params), &params.runOpts, func() (engineRun, error) {
+			return params.newRun(s.cfg.Concurrency, ent.g)
+		})
 	}
-	if req.Graph == "" {
-		writeError(w, http.StatusBadRequest, errors.New("server: \"graph\" (a registered graph name) is required"))
-		return
-	}
-	params, err := req.resolve(s.cfg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ent, err := s.reg.acquire(req.Graph)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	defer ent.release()
-
-	if params.flight > 0 {
-		params.trace = obs.NewTrace(s.nextTraceID())
-		s.metrics.traces.Inc()
-		w.Header().Set("X-Nearclique-Trace-Id", params.trace.ID())
-	}
-	key := countCacheKey(ent.digest, params)
-	lookupStart := time.Now()
-	if params.flight == 0 {
-		if body, ok := s.cache.get(key); ok {
-			ent.hits.Add(1)
-			writeRun(w, http.StatusOK, body, "hit")
-			return
-		}
-	}
-	params.trace.Span("cache-lookup", lookupStart, time.Now())
-	if params.flight > 0 {
-		params.flightRec = flight.New(s.cfg.FlightCapacity)
-	}
-	solver, err := params.solver(s.cfg.Concurrency)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	feat := s.countFeatures(ent, params)
-	out, admitErr := s.admitRun(r.Context(), params.timeout, params.trace, feat, func(ctx context.Context) outcome {
-		return s.safeCount(ctx, solver, params, ent)
-	})
-	if admitErr != nil {
-		s.writeAdmissionError(w, admitErr)
-		return
-	}
-	s.finishSolve(out, feat, ent, key, params.flight > 0)
-	writeRun(w, out.status, out.body, "miss")
 }

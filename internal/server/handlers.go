@@ -89,17 +89,37 @@ type solveParams struct {
 	// key embeds, so "quasi:0.60" and "quasi:0.6" share one entry.
 	refine     string
 	refineSpec nearclique.RefineSpec
-	timeout    time.Duration
-	// flight is the requested trailing-event window (0 = no tracing) and
-	// flightRec the per-request recorder the handler attaches when it is
-	// positive. Neither enters the cache key: traced requests skip the
-	// cache entirely, so the key never has to distinguish them.
+	runOpts
+}
+
+// runOpts are the request options every executed endpoint shares.
+// timeout caps the run; flight is the requested trailing-event window
+// (0 = no tracing), and flightRec and trace are the per-request recorder
+// and span timeline the miss path attaches when it is positive (nil
+// otherwise — every recording call no-ops). None of them enters a cache
+// key: traced requests skip the cache entirely, and a deadline decides
+// whether a run completes, never what it computes.
+type runOpts struct {
+	timeout   time.Duration
 	flight    int
 	flightRec *flight.Recorder
-	// trace is the request's span timeline, attached alongside flightRec
-	// under the same opt-in (nil otherwise — every recording call
-	// no-ops). Like flightRec it never enters the cache key.
-	trace *obs.Trace
+	trace     *obs.Trace
+}
+
+// resolveRunOpts resolves timeout_ms (0 falls back to the server's
+// default timeout) and flight (capped at maxFlightEvents).
+func resolveRunOpts(cfg Config, timeoutMS int64, flightEvents int) (runOpts, error) {
+	if timeoutMS < 0 {
+		return runOpts{}, fmt.Errorf("server: negative timeout_ms %d", timeoutMS)
+	}
+	if flightEvents < 0 {
+		return runOpts{}, fmt.Errorf("server: negative flight %d", flightEvents)
+	}
+	o := runOpts{timeout: cfg.DefaultTimeout, flight: min(flightEvents, maxFlightEvents)}
+	if timeoutMS > 0 {
+		o.timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return o, nil
 }
 
 // resolve canonicalizes the request. Validation beyond shape (ε range,
@@ -146,22 +166,8 @@ func (req *SolveRequest) resolve(cfg Config) (solveParams, error) {
 		p.refineSpec = spec
 		p.refine = spec.String()
 	}
-	if req.TimeoutMS < 0 {
-		return p, fmt.Errorf("server: negative timeout_ms %d", req.TimeoutMS)
-	}
-	if req.TimeoutMS > 0 {
-		p.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	} else {
-		p.timeout = cfg.DefaultTimeout
-	}
-	if req.Flight < 0 {
-		return p, fmt.Errorf("server: negative flight %d", req.Flight)
-	}
-	p.flight = req.Flight
-	if p.flight > maxFlightEvents {
-		p.flight = maxFlightEvents
-	}
-	return p, nil
+	p.runOpts, err = resolveRunOpts(cfg, req.TimeoutMS, req.Flight)
+	return p, err
 }
 
 // maxFlightEvents caps the trailing-event window a request may ask for:
@@ -169,10 +175,7 @@ func (req *SolveRequest) resolve(cfg Config) (solveParams, error) {
 // can never balloon a response body past the cache-entry scale.
 const maxFlightEvents = 512
 
-// solver builds the per-request Solver. When several solve workers run
-// concurrently, per-run simulator parallelism is capped so the workers
-// split the machine instead of oversubscribing it — worker counts never
-// change outputs (the determinism suite pins this), only speed.
+// solver builds the per-request Solver.
 func (p solveParams) solver(concurrency int) (*nearclique.Solver, error) {
 	opts := []nearclique.Option{
 		nearclique.WithEngine(p.engine),
@@ -192,24 +195,22 @@ func (p solveParams) solver(concurrency int) (*nearclique.Solver, error) {
 	if p.refine != "" {
 		opts = append(opts, nearclique.WithRefine(p.refineSpec))
 	}
-	if p.flightRec != nil {
-		opts = append(opts, nearclique.WithFlightRecorder(p.flightRec))
-	}
-	if concurrency > 1 {
-		opts = append(opts, nearclique.WithParallelism(maxParallelismPer(concurrency)))
-	}
-	return nearclique.New(opts...)
+	return p.newSolver(concurrency, opts)
 }
 
-// maxParallelismPer is the per-run parallelism cap when concurrency
-// workers may run at once — the workers split the machine instead of
-// oversubscribing it. Shared by the solve and count solver builders.
-func maxParallelismPer(concurrency int) int {
-	per := runtime.GOMAXPROCS(0) / concurrency
-	if per < 1 {
-		per = 1
+// newSolver builds a request's Solver from its endpoint's options plus
+// the two every endpoint shares: the request's flight recorder, and a
+// per-run parallelism cap when several workers may run at once, so the
+// workers split the machine instead of oversubscribing it. Worker counts
+// never change outputs (the determinism suites pin this), only speed.
+func (o *runOpts) newSolver(concurrency int, opts []nearclique.Option) (*nearclique.Solver, error) {
+	if o.flightRec != nil {
+		opts = append(opts, nearclique.WithFlightRecorder(o.flightRec))
 	}
-	return per
+	if concurrency > 1 {
+		opts = append(opts, nearclique.WithParallelism(max(1, runtime.GOMAXPROCS(0)/concurrency)))
+	}
+	return nearclique.New(opts...)
 }
 
 // cacheKey is the canonical cache key: the graph's content digest plus
@@ -233,7 +234,7 @@ func cacheKey(digest string, p solveParams) string {
 		"|refine=" + p.refine
 }
 
-// outcome is one executed solve, ready to write: the marshaled Run body,
+// outcome is one executed run, ready to write: the marshaled record body,
 // the HTTP status, whether the body may populate the cache (only
 // complete, error-free runs are cacheable), plus the raw cost facts the
 // post-run bookkeeping needs — cost-model training and the /statz
@@ -250,57 +251,96 @@ type outcome struct {
 	flight       *report.FlightSample
 }
 
-// runSolve executes one solve on the calling (worker) goroutine and
-// renders the shared report.Run schema. Cancellation and deadline errors
-// surface from the solver as wrapped context errors with valid partial
-// metrics; they map to HTTP statuses here and the partial record still
-// ships in the body, mirroring cmd/nearclique -json.
-func (s *Server) runSolve(ctx context.Context, solver *nearclique.Solver, p solveParams, ent *entry) outcome {
+// engineRun is an endpoint's half of one executed request; execute is
+// the other half, the same for every endpoint.
+type engineRun struct {
+	opts runOpts // as the cache lookup left them
+	span string  // the engine span and its phase spans' prefix: "solve" or "count"
+	feat costmodel.Features
+	// call runs the engine on the worker goroutine; record renders the
+	// finished call with the request's flight sample and trace attached
+	// and fills the outcome's rounds, frames and payloadBytes; panicked
+	// renders the line a panic leaves.
+	call     func(ctx context.Context) error
+	record   func(wall time.Duration, err error, fs *report.FlightSample, tr *report.Trace) (any, outcome)
+	panicked func(wall time.Duration, err error) []byte
+}
+
+// execute runs one request's engine call on the calling (worker)
+// goroutine and renders its outcome. Cancellation and deadline errors
+// surface from the engine as wrapped context errors with valid partial
+// metrics; the partial record still ships, mirroring cmd/nearclique -json.
+//
+// execute is also the one panic barrier. Runs execute on pool workers,
+// outside net/http's per-request recovery, so a panic reachable through
+// one request (an engine bug on one loaded graph) would otherwise kill
+// the daemon; instead it costs its own request a 500, whose line carries
+// the wall time actually burned. The panicked run still counts as one of
+// its graph's solves, so /statz keeps misses == executed solves.
+func (s *Server) execute(ctx context.Context, ent *entry, run engineRun) (out outcome) {
+	o := &run.opts
+	start := time.Now()
+	defer ent.solves.Add(1)
+	defer func() {
+		if r := recover(); r != nil {
+			out = outcome{
+				body:   run.panicked(time.Since(start), fmt.Errorf("server: internal panic: %v", r)),
+				status: http.StatusInternalServerError,
+			}
+		}
+	}()
 	if s.testHookBeforeSolve != nil {
 		s.testHookBeforeSolve()
 	}
-	start := time.Now()
-	res, err := solver.Solve(ctx, ent.g)
-	solveEnd := time.Now()
-	ent.solves.Add(1)
-	rec := report.FromResult(p.engine.String(), ent.g, res, solveEnd.Sub(start), err)
-	if p.flightRec != nil {
-		rec.Flight = report.FlightFromRecorder(p.flightRec, p.flight)
+	callStart := time.Now()
+	err := run.call(ctx)
+	callEnd := time.Now()
+	wall := callEnd.Sub(callStart)
+	var fs *report.FlightSample
+	if o.flightRec != nil {
+		fs = report.FlightFromRecorder(o.flightRec, o.flight)
 	}
-	if p.trace != nil {
-		// The span clock: solve boundaries from this goroutine's clock,
+	var tr *report.Trace
+	if o.trace != nil {
+		tr = new(report.Trace) // filled once the commit span below closes
+	}
+	rec, out := run.record(wall, err, fs, tr)
+	if o.trace != nil {
+		// The span clock: engine boundaries from this goroutine's clock,
 		// per-phase sub-spans rebased from the flight recorder's
 		// wall-stamped phase events, and commit covering the record
 		// assembly just done. The trace rides inside the body, so it must
 		// be complete before Marshal — response writing itself is the one
 		// step no in-body span can cover.
-		p.trace.Span("solve", start, solveEnd)
-		addPhaseSpans(p.trace, "solve", p.flightRec, rec.Flight, p.trace.Since(start))
-		p.trace.Span("commit", solveEnd, time.Now())
-		rec.Trace = wireTrace(p.trace)
+		o.trace.Span(run.span, callStart, callEnd)
+		addPhaseSpans(o.trace, run.span, o.flightRec, fs, o.trace.Since(callStart))
+		o.trace.Span("commit", callEnd, time.Now())
+		*tr = wireTrace(o.trace)
 	}
 	body, merr := json.Marshal(rec)
 	if merr != nil {
 		return outcome{body: []byte(`{"error":"response encoding failed"}` + "\n"), status: http.StatusInternalServerError}
 	}
-	body = append(body, '\n')
-	status := http.StatusOK
+	out.body, out.status, out.cacheable = append(body, '\n'), runStatus(err), err == nil
+	out.wallNS, out.flight = wall.Nanoseconds(), fs
+	return out
+}
+
+// runStatus maps an engine error to its HTTP status.
+func runStatus(err error) int {
 	switch {
 	case err == nil:
+		return http.StatusOK
 	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
+		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		// The client went away; nobody observes this status.
-		status = 499
+		return 499
 	default:
-		// Algorithmic aborts (round limit, component cap): the request
+		// Algorithmic aborts (round limit, component cap, a shadow arena
+		// budget) and validation the engine itself surfaces: the request
 		// was well-formed but this configuration cannot complete.
-		status = http.StatusUnprocessableEntity
-	}
-	return outcome{
-		body: body, status: status, cacheable: err == nil,
-		wallNS: rec.WallNS, rounds: int64(rec.Rounds), frames: int64(rec.Frames),
-		payloadBytes: int64(rec.PayloadBytes), flight: rec.Flight,
+		return http.StatusUnprocessableEntity
 	}
 }
 
@@ -329,32 +369,13 @@ func addPhaseSpans(tr *obs.Trace, prefix string, rec *flight.Recorder, sample *r
 }
 
 // wireTrace converts a trace to its wire form for the response body.
-func wireTrace(tr *obs.Trace) *report.Trace {
+func wireTrace(tr *obs.Trace) report.Trace {
 	spans := tr.Spans()
-	out := &report.Trace{TraceID: tr.ID(), Spans: make([]report.TraceSpan, len(spans))}
+	out := report.Trace{TraceID: tr.ID(), Spans: make([]report.TraceSpan, len(spans))}
 	for i, sp := range spans {
 		out.Spans[i] = report.TraceSpan{Name: sp.Name, StartNS: sp.StartNS, DurNS: sp.DurNS}
 	}
 	return out
-}
-
-// safeSolve is runSolve behind a panic barrier. Solves run on pool
-// workers, outside net/http's per-request recovery, so without this a
-// panic reachable through one request (an engine bug on one loaded
-// graph) would kill the daemon and every in-flight request; instead it
-// costs its own request a 500. The panic line carries the wall time
-// actually burned, on the same span clock as every other Run record.
-func (s *Server) safeSolve(ctx context.Context, solver *nearclique.Solver, p solveParams, ent *entry) (out outcome) {
-	start := time.Now()
-	defer func() {
-		if r := recover(); r != nil {
-			out = outcome{
-				body:   errorRunLine(p.engine.String(), time.Since(start), fmt.Errorf("server: internal panic: %v", r)),
-				status: http.StatusInternalServerError,
-			}
-		}
-	}()
-	return s.runSolve(ctx, solver, p, ent)
 }
 
 // admitRun pushes one priced job through admission control and waits for
@@ -416,22 +437,49 @@ func (s *Server) cheapPredicted(f costmodel.Features) bool {
 	return pred.Reliable() && pred.NS <= float64(s.cfg.CheapSolveNS)
 }
 
-// features assembles the cost-model features for a resolved request on a
-// registered graph. engine=auto runs the sequential replay, so it is
-// priced and trained as "seq".
-func (s *Server) features(ent *entry, p solveParams) costmodel.Features {
+// newRun builds the request's Solver — around its flight recorder, when
+// the miss path attached one — and binds it to g. The record is the
+// shared report.Run schema; a panic leaves a bare Run carrying the error.
+func (p *solveParams) newRun(concurrency int, g *nearclique.Graph) (engineRun, error) {
+	solver, err := p.solver(concurrency)
+	if err != nil {
+		return engineRun{}, err
+	}
+	engine := p.engine.String()
+	var res *nearclique.Result
+	return engineRun{
+		opts: p.runOpts,
+		span: "solve",
+		feat: p.features(g),
+		call: func(ctx context.Context) (err error) {
+			res, err = solver.Solve(ctx, g)
+			return err
+		},
+		record: func(wall time.Duration, err error, fs *report.FlightSample, tr *report.Trace) (any, outcome) {
+			rec := report.FromResult(engine, g, res, wall, err)
+			rec.Flight, rec.Trace = fs, tr
+			return &rec, outcome{rounds: int64(rec.Rounds), frames: int64(rec.Frames), payloadBytes: int64(rec.PayloadBytes)}
+		},
+		panicked: func(wall time.Duration, err error) []byte { return errorRunLine(engine, wall, err) },
+	}, nil
+}
+
+// features assembles the cost-model features for a resolved request on
+// graph g. engine=auto runs the sequential replay, so it is priced and
+// trained as "seq".
+func (p *solveParams) features(g *nearclique.Graph) costmodel.Features {
 	engine := p.engine
 	if engine == nearclique.EngineAuto {
 		engine = nearclique.EngineSequential
 	}
 	sample := p.sample
 	if p.p > 0 {
-		sample = p.p * float64(ent.g.N())
+		sample = p.p * float64(g.N())
 	}
 	return costmodel.Features{
 		Engine:   engine.String(),
-		N:        ent.g.N(),
-		M:        ent.g.M(),
+		N:        g.N(),
+		M:        g.M(),
 		Epsilon:  p.eps,
 		Sample:   sample,
 		Versions: p.boost,
@@ -467,78 +515,109 @@ func (s *Server) finishSolve(out outcome, feat costmodel.Features, ent *entry, k
 // observeRequest records one endpoint-labeled request latency; called
 // via defer with the handler's entry instant.
 func (s *Server) observeRequest(endpoint string, start time.Time) {
-	s.metrics.endpointHist(endpoint).Observe(time.Since(start))
+	s.metrics.requests[endpoint].Observe(time.Since(start))
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer s.observeRequest("solve", time.Now())
 	var req SolveRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if params, ent := acceptRun(s, w, r, &req); ent != nil {
+		defer ent.release()
+		s.serve(w, r, ent, cacheKey(ent.digest, params), &params.runOpts, func() (engineRun, error) {
+			return params.newRun(s.cfg.Concurrency, ent.g)
+		})
 	}
-	if req.Graph == "" {
+}
+
+// runRequest is a /v1/solve or /v1/count body: it names a registered
+// graph and resolves to its endpoint's canonical params P.
+type runRequest[P any] interface {
+	graphName() string
+	resolve(Config) (P, error)
+}
+
+func (req *SolveRequest) graphName() string { return req.Graph }
+
+// acceptRun decodes a /v1/solve or /v1/count body into req, resolves it
+// and acquires its graph. When it cannot, it answers 400 or 404 itself
+// and returns a nil entry; otherwise the caller releases the entry.
+func acceptRun[P any](s *Server, w http.ResponseWriter, r *http.Request, req runRequest[P]) (P, *entry) {
+	var none P
+	if err := decodeJSON(w, r, req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return none, nil
+	}
+	if req.graphName() == "" {
 		writeError(w, http.StatusBadRequest, errors.New("server: \"graph\" (a registered graph name) is required"))
-		return
+		return none, nil
 	}
 	params, err := req.resolve(s.cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return none, nil
 	}
-	ent, err := s.reg.acquire(req.Graph)
+	ent, err := s.reg.acquire(req.graphName())
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
-		return
+		return none, nil
 	}
-	defer ent.release()
+	return params, ent
+}
 
-	// Cache lookup before Solver construction: the key is built from
-	// resolved values and only validated, completed runs populate it,
-	// so invalid parameters can never produce a hit — and a hit skips
-	// the option-validation allocations entirely. Traced requests
-	// (flight > 0) bypass the lookup: their bodies embed a per-run trace
-	// a frozen replay could not honestly carry.
-	if params.flight > 0 {
+// serve is the rest of the path every executed /v1/solve and /v1/count
+// request shares once its endpoint has accepted it: trace opt-in, cache
+// lookup, the endpoint's engine run (newRun builds it, or fails with
+// 400), priced admission, the miss's bookkeeping and the response.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, ent *entry, key string, o *runOpts, newRun func() (engineRun, error)) {
+	if o.flight > 0 {
 		// Trace epoch = handling start. The id goes out as a header on
 		// every traced response — including error paths below — and the
 		// span timeline rides in the body, which never touches the cache.
-		params.trace = obs.NewTrace(s.nextTraceID())
+		o.trace = obs.NewTrace(s.nextTraceID())
 		s.metrics.traces.Inc()
-		w.Header().Set("X-Nearclique-Trace-Id", params.trace.ID())
+		w.Header().Set("X-Nearclique-Trace-Id", o.trace.ID())
 	}
-	key := cacheKey(ent.digest, params)
-	lookupStart := time.Now()
-	if params.flight == 0 {
-		if body, ok := s.cache.get(key); ok {
-			ent.hits.Add(1)
-			writeRun(w, http.StatusOK, body, "hit")
-			return
-		}
+	if body, ok := s.lookup(ent, key, o); ok {
+		writeRun(w, http.StatusOK, body, "hit")
+		return
 	}
-	params.trace.Span("cache-lookup", lookupStart, time.Now())
-	if params.flight > 0 {
-		params.flightRec = flight.New(s.cfg.FlightCapacity)
-	}
-	solver, err := params.solver(s.cfg.Concurrency)
+	run, err := newRun()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-
-	feat := s.features(ent, params)
-	out, admitErr := s.admitRun(r.Context(), params.timeout, params.trace, feat, func(ctx context.Context) outcome {
-		return s.safeSolve(ctx, solver, params, ent)
+	out, err := s.admitRun(r.Context(), o.timeout, o.trace, run.feat, func(ctx context.Context) outcome {
+		return s.execute(ctx, ent, run)
 	})
-	if admitErr != nil {
+	if err != nil {
 		// Shed before any work: not a cache miss — /statz keeps
 		// misses == executed solves, so hit ratios stay meaningful
 		// under overload.
-		s.writeAdmissionError(w, admitErr)
+		s.writeAdmissionError(w, err)
 		return
 	}
-	s.finishSolve(out, feat, ent, key, params.flight > 0)
+	s.finishSolve(out, run.feat, ent, key, o.flight > 0)
 	writeRun(w, out.status, out.body, "miss")
+}
+
+// lookup is every request's cache stage. Only validated, completed runs
+// populate the cache, so invalid parameters can never hit, and a hit
+// returns before any Solver is built. Traced requests (flight > 0)
+// bypass it — their bodies embed a per-run trace a frozen replay could
+// not honestly carry — and get their flight recorder here instead.
+func (s *Server) lookup(ent *entry, key string, o *runOpts) ([]byte, bool) {
+	start := time.Now()
+	if o.flight == 0 {
+		if body, ok := s.cache.get(key); ok {
+			ent.hits.Add(1)
+			return body, true
+		}
+	}
+	o.trace.Span("cache-lookup", start, time.Now())
+	if o.flight > 0 {
+		o.flightRec = flight.New(s.cfg.FlightCapacity)
+	}
+	return nil, false
 }
 
 // handleBatch streams one report.Run per request item as NDJSON, in
@@ -569,7 +648,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	type item struct {
 		req    SolveRequest
 		params solveParams
-		solver *nearclique.Solver
 	}
 	items := make([]item, len(breq.Requests))
 	for i, req := range breq.Requests {
@@ -578,16 +656,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		params, err := req.resolve(s.cfg)
+		if err == nil {
+			_, err = params.solver(s.cfg.Concurrency)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("server: batch item %d: %w", i, err))
 			return
 		}
-		solver, err := params.solver(s.cfg.Concurrency)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("server: batch item %d: %w", i, err))
-			return
-		}
-		items[i] = item{req: req, params: params, solver: solver}
+		items[i] = item{req: req, params: params}
 	}
 
 	// One trace id for the batch when any item opted into tracing; item
@@ -630,11 +706,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() != nil {
 				return // client gone; stop burning the worker
 			}
-			var itemTraceID string
 			if it.params.flight > 0 {
-				itemTraceID = fmt.Sprintf("%s.%d", batchTraceID, i)
+				it.params.trace = obs.NewTrace(fmt.Sprintf("%s.%d", batchTraceID, i))
+				s.metrics.traces.Inc()
 			}
-			line := s.solveItem(r.Context(), admitted, it.req, it.params, it.solver, itemTraceID)
+			line := s.solveItem(r.Context(), admitted, it.req, it.params)
 			wstart := time.Now()
 			if err := rc.SetWriteDeadline(wstart.Add(budget)); err != nil && !errors.Is(err, http.ErrNotSupported) {
 				return
@@ -659,63 +735,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	<-done
 }
 
-// solveItem is the per-item half of handleBatch: cache lookup, then a
-// direct solve on the current (worker) goroutine. admitted is the
-// batch's admission instant; item deadlines count from it, so queue
-// wait and earlier items spend the same budget they would on /v1/solve.
-// itemStart is the item's span-clock zero: every line this function
-// renders — executed, error, panic — carries wall_ns measured from it
-// on one clock (cached lines are the deliberate exception: their
-// wall_ns stays frozen at the first miss, the cache's byte-identity
-// contract). traceID, when non-empty, attaches a per-item span trace.
-func (s *Server) solveItem(ctx context.Context, admitted time.Time, req SolveRequest, params solveParams, solver *nearclique.Solver, traceID string) []byte {
+// solveItem is the per-item half of handleBatch: the miss path of
+// /v1/solve — cache lookup, the item's engine run and the miss's
+// bookkeeping — run directly on the current (worker) goroutine, since the
+// batch was admitted as a whole. admitted is the batch's admission
+// instant; item deadlines count from it, so queue wait and earlier items
+// spend the same budget they would on /v1/solve. itemStart is the item's
+// span-clock zero: every line this function renders — executed, error,
+// panic — carries wall_ns measured from it on one clock (cached lines
+// are the deliberate exception: their wall_ns stays frozen at the first
+// miss, the cache's byte-identity contract).
+func (s *Server) solveItem(ctx context.Context, admitted time.Time, req SolveRequest, params solveParams) []byte {
 	itemStart := time.Now()
-	if traceID != "" {
-		params.trace = obs.NewTrace(traceID)
-		s.metrics.traces.Inc()
-	}
 	ent, err := s.reg.acquire(req.Graph)
 	if err != nil {
 		return errorRunLine(params.engine.String(), time.Since(itemStart), err)
 	}
 	defer ent.release()
-	// Cache key from the requested canonical params, trace bypass, miss
-	// accounting, cost-model training: all mirror /v1/solve exactly, so
-	// the two paths can never disagree in /statz.
 	key := cacheKey(ent.digest, params)
-	lookupStart := time.Now()
-	if params.flight == 0 {
-		if body, ok := s.cache.get(key); ok {
-			ent.hits.Add(1)
-			return body
-		}
+	if body, ok := s.lookup(ent, key, &params.runOpts); ok {
+		return body
 	}
-	params.trace.Span("cache-lookup", lookupStart, time.Now())
-	if params.flight > 0 {
-		// The solver prevalidated at batch intake has no recorder;
-		// rebuild it around the per-item trace ring.
-		params.flightRec = flight.New(s.cfg.FlightCapacity)
-		rebuilt, err := params.solver(s.cfg.Concurrency)
-		if err != nil {
-			return errorRunLine(params.engine.String(), time.Since(itemStart), err)
-		}
-		solver = rebuilt
+	run, err := params.newRun(s.cfg.Concurrency, ent.g)
+	if err != nil {
+		return errorRunLine(params.engine.String(), time.Since(itemStart), err)
 	}
 	if params.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, admitted.Add(params.timeout))
 		defer cancel()
 	}
-	out := s.safeSolve(ctx, solver, params, ent)
-	s.finishSolve(out, s.features(ent, params), ent, key, params.flight > 0)
+	out := s.execute(ctx, ent, run)
+	s.finishSolve(out, run.feat, ent, key, params.flight > 0)
 	return out.body
 }
 
-// errorRunLine renders a per-item failure as a Run record so batch
-// streams stay aligned with their request lists. wall is the service
-// time the failing item actually consumed, measured on the same span
-// clock as executed lines — before PR 9 these lines shipped wall_ns 0,
-// making batch streams internally inconsistent (the pinned bugfix).
+// errorRunLine renders a failure as a bare Run line, so batch streams
+// stay aligned with their request lists. wall is the service time the
+// failing item actually consumed, on the same span clock as executed
+// lines (TestBatchWallNSUnified).
 func errorRunLine(engine string, wall time.Duration, err error) []byte {
 	rec := report.Run{Engine: engine, Error: err.Error()}
 	rec.WallNS = wall.Nanoseconds()

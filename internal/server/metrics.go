@@ -24,10 +24,9 @@ import (
 type serverMetrics struct {
 	reg *obs.Registry
 
-	// Per-endpoint request latency, handler entry to response written.
-	solve *obs.Histogram
-	batch *obs.Histogram
-	count *obs.Histogram
+	// requests is the per-endpoint request latency, handler entry to
+	// response written, keyed by endpoint label.
+	requests map[string]*obs.Histogram
 
 	// wait is time from admission submit to job start (fast-path jobs
 	// observe their ~0 wait honestly); exec is executed-job wall time —
@@ -39,6 +38,10 @@ type serverMetrics struct {
 	traces *obs.Counter
 }
 
+// endpoints are the request-latency labels, in /metricsz and /statz
+// order.
+var endpoints = []string{"solve", "batch", "count"}
+
 // newServerMetrics builds the metrics surface. exec is always live (see
 // type comment); everything else is nil when disabled.
 func newServerMetrics(disabled bool) *serverMetrics {
@@ -47,12 +50,11 @@ func newServerMetrics(disabled bool) *serverMetrics {
 		return m
 	}
 	m.reg = obs.NewRegistry()
-	m.solve = m.reg.NewHistogram("nearclique_request_seconds", `endpoint="solve"`,
-		"request latency by endpoint, handler entry to response written")
-	m.batch = m.reg.NewHistogram("nearclique_request_seconds", `endpoint="batch"`,
-		"request latency by endpoint, handler entry to response written")
-	m.count = m.reg.NewHistogram("nearclique_request_seconds", `endpoint="count"`,
-		"request latency by endpoint, handler entry to response written")
+	m.requests = make(map[string]*obs.Histogram, len(endpoints))
+	for _, ep := range endpoints {
+		m.requests[ep] = m.reg.NewHistogram("nearclique_request_seconds", `endpoint="`+ep+`"`,
+			"request latency by endpoint, handler entry to response written")
+	}
 	m.wait = m.reg.NewHistogram("nearclique_admission_wait_seconds", "",
 		"time accepted jobs spent between admission and execution start")
 	m.reg.RegisterHistogram("nearclique_job_exec_seconds", "",
@@ -103,19 +105,6 @@ func (m *serverMetrics) bind(s *Server) {
 		func() float64 { return float64(len(s.reg.list())) })
 }
 
-// endpointHist returns the request histogram for one endpoint label.
-func (m *serverMetrics) endpointHist(endpoint string) *obs.Histogram {
-	switch endpoint {
-	case "solve":
-		return m.solve
-	case "batch":
-		return m.batch
-	case "count":
-		return m.count
-	}
-	return nil
-}
-
 // latencySection builds the /statz latency section from the same
 // histograms /metricsz exposes. Endpoints with no traffic are omitted;
 // order is fixed (solve, batch, count, job_exec) so the JSON is stable.
@@ -136,9 +125,9 @@ func (m *serverMetrics) latencySection() []report.EndpointLatency {
 			P999MS:   ms(snap.QuantileNS(0.999)),
 		})
 	}
-	add("solve", m.solve)
-	add("batch", m.batch)
-	add("count", m.count)
+	for _, ep := range endpoints {
+		add(ep, m.requests[ep])
+	}
 	add("job_exec", m.exec)
 	return out
 }

@@ -115,7 +115,7 @@ func newAdmitter(concurrency, depth int, exec *obs.Histogram) *admitter {
 type job struct{ run, release func() }
 
 // runJob is the pool's last-resort panic barrier: jobs produce their own
-// error responses on panic (see safeSolve), but if one ever escapes, a
+// error responses on panic (see execute), but if one ever escapes, a
 // single poisoned request must cost its request, not the worker — a dead
 // worker would silently shrink the pool for the daemon's lifetime.
 func runJob(fn func()) {
