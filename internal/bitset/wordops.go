@@ -2,14 +2,13 @@ package bitset
 
 import "math/bits"
 
-// This file holds the word-level operations the frontier kernels are built
-// on. The existing per-bit API (Add/Contains/ForEach) is what the protocol
-// logic wants; direction-optimizing traversal instead wants to move whole
-// 64-bit words between sets and to know the resulting population counts
-// without a second scan — the popcounts are what the push/pull switch and
-// the density estimates are guided by. Every operation below is a pure
-// word-parallel loop with no data-dependent branching, so its cost is
-// ⌈n/64⌉ regardless of contents and its result is independent of any
+// This file holds the word-level operations. The per-bit API
+// (Add/Contains/ForEach) is what the protocol logic wants; a pass that
+// fills or reads 64 nodes at a time (the sampling coins' SetWord) wants
+// to move whole 64-bit words between sets and to know the resulting
+// population counts without a second scan. Every operation below is a
+// pure word-parallel loop with no data-dependent branching, so its cost
+// is ⌈n/64⌉ regardless of contents and its result is independent of any
 // iteration order.
 
 // Word returns the wi-th backing word of s (bits [64·wi, 64·wi+64)).
@@ -27,7 +26,7 @@ func (s *Set) WordCount() int { return len(s.words) }
 
 // ForEachWord calls fn(wi, w) for every nonzero backing word of s, in
 // increasing word order. It is the word-granular analogue of ForEach:
-// frontier kernels use it to visit 64 vertices per load instead of one.
+// it visits 64 vertices per load instead of one.
 func (s *Set) ForEachWord(fn func(wi int, w uint64)) {
 	for wi, w := range s.words {
 		if w != 0 {

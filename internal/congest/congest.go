@@ -264,23 +264,35 @@ func NewNetwork(g *graph.Graph, opts Options, procFor func(ctx *Context) Proc) *
 // It is rand.Perm's loop — the same Intn(i+1) draws and swaps — writing
 // the IDs straight into int64s.
 func permutedIDs(n int, seed int64) []int64 {
-	src := idSource(seed)
+	var s idStream
+	s.reset(seed)
 	ids := make([]int64, n)
-	for i := range ids {
-		j := idDraw(src, int32(i+1))
-		ids[i] = ids[j]
-		ids[j] = int64(i)
+	var draws [1024]uint32
+	for lo := 0; lo < n; lo += len(draws) {
+		js := draws[:min(len(draws), n-lo)]
+		s.fill(js, lo)
+		for k, j := range js {
+			i := lo + k
+			ids[i] = ids[j]
+			ids[j] = int64(i)
+		}
 	}
 	return ids
 }
 
 func idSource(seed int64) rand.Source { return rand.NewSource(seed ^ 0x1dfa_c0de) }
 
-// idDraw returns rand.New(src).Intn(n) for 0 < n < 2^31 with one
-// division instead of two: a draw at most 2^31−1−n is below Int31n's
-// rejection bound 2^31−1 − 2^31 mod n, which is computed only above it.
-func idDraw(src rand.Source, n int32) int32 {
-	v := int32(src.Int63() >> 32)
+// idDraw returns rand.New(src).Intn(n) for 0 < n < 2^31: the draw
+// idStream.fill makes with the stream inline.
+func idDraw(src interface{ Int63() int64 }, n int32) int32 {
+	return idFinish(int32(src.Int63()>>32), n, src)
+}
+
+// idFinish finishes an Intn(n) draw whose first 31-bit value is v: the
+// power-of-two mask, or v % n after Int31n's rejection loop, which
+// redraws from src. Its bound 2^31−1 − 2^31 mod n is computed only for
+// a v above 2^31−1−n, so a draw costs one division, not two.
+func idFinish(v, n int32, src interface{ Int63() int64 }) int32 {
 	if n&(n-1) == 0 {
 		return v & (n - 1)
 	}
@@ -292,14 +304,80 @@ func idDraw(src rand.Source, n int32) int32 {
 	return v % n
 }
 
+// The lags of math/rand's additive lagged-Fibonacci source: from its
+// output k = idLag on, y_k = y_{k−idLag} + y_{k−idTap} mod 2^64.
+const (
+	idLag = 607
+	idTap = 273
+)
+
+// idStream is idSource's output stream drawn inline: it holds idLag
+// consecutive outputs and computes the next idLag in place once they are
+// used, so a draw is a load, not an interface call into rand.Source.
+type idStream struct {
+	y [idLag]uint64
+	i int // the next output's index in y
+}
+
+// reset sets s to the start of idSource(seed)'s stream: its first idLag
+// Uint64 outputs, drawn from it.
+func (s *idStream) reset(seed int64) {
+	src := idSource(seed).(rand.Source64)
+	for i := range s.y {
+		s.y[i] = src.Uint64()
+	}
+	s.i = 0
+}
+
+// Int63 returns the stream's next output as rand.Source's Int63 does.
+func (s *idStream) Int63() int64 {
+	if s.i == idLag {
+		s.advance()
+	}
+	y := s.y[s.i]
+	s.i++
+	return int64(y &^ (1 << 63))
+}
+
+// advance replaces outputs k … k+idLag−1 with the next idLag: output
+// k+idLag+i adds y[i] to output k+idLag+i−idTap, which is still in y
+// for i < idTap and already replaced after.
+func (s *idStream) advance() {
+	for i := 0; i < idTap; i++ {
+		s.y[i] += s.y[i+idLag-idTap]
+	}
+	for i := idTap; i < idLag; i++ {
+		s.y[i] += s.y[i-idTap]
+	}
+	s.i = 0
+}
+
+// fill sets out[i] to the draw Intn(lo+i+1), for each i in turn: the
+// draws of rand.Perm's loop from i = lo on. The loop is idDraw's with
+// the stream inline and the common case inline too: a draw at most
+// 2^31−1−n for an n that is not a power of two is v % n.
+func (s *idStream) fill(out []uint32, lo int) {
+	for i := range out {
+		n := int32(lo + i + 1)
+		v := int32(s.Int63() >> 32)
+		if v > 1<<31-1-n || n&(n-1) == 0 {
+			v = idFinish(v, n, s)
+		} else {
+			v %= n
+		}
+		out[i] = uint32(v)
+	}
+}
+
 // IDWalk is the pooled state of the backward ID walk: the recorded
 // draws, the tracked positions and the walk's output. The zero value is
 // ready; an IDWalk is not safe for concurrent use.
 type IDWalk struct {
-	draws []uint32
-	at    map[int]int // tracked position -> index into nodes
-	nodes []int32
-	ids   []int64
+	stream idStream
+	draws  []uint32
+	at     map[int]int // tracked position -> index into nodes
+	nodes  []int32
+	ids    []int64
 }
 
 // Record records permutedIDs' n draws J_i = Intn(i+1) — the same
@@ -310,10 +388,8 @@ func (w *IDWalk) Record(n int, seed int64) {
 		w.draws = make([]uint32, n)
 	}
 	draws := w.draws[:n]
-	src := idSource(seed)
-	for i := range draws {
-		draws[i] = uint32(idDraw(src, int32(i+1)))
-	}
+	w.stream.reset(seed)
+	w.stream.fill(draws, 0)
 	w.draws = draws
 }
 

@@ -131,6 +131,42 @@ func TestIDDrawMatchesIntn(t *testing.T) {
 	}
 }
 
+// TestIDStreamMatchesSource pins the inline ID stream to the rand.Source
+// it copies: ten blocks' worth of values on seeds negative and
+// positive, then Intn draws at an n where Int31n rejects about half of
+// the values, so the rejection loop redraws from the stream.
+func TestIDStreamMatchesSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7, -1 << 40} {
+		var s idStream
+		s.reset(seed)
+		src := idSource(seed)
+		for i := 0; i < 10*idLag+3; i++ {
+			if got, want := s.Int63()>>32, src.Int63()>>32; got != want {
+				t.Fatalf("seed %d: value %d is %d, idSource %d", seed, i, got, want)
+			}
+		}
+		// fill(out, n−1) with one slot draws Intn(n), and at
+		// n = 2^30+1 Int31n rejects about half of the values.
+		const n = 1<<30 + 1
+		want := rand.New(src)
+		out := make([]uint32, 1)
+		rejected := 0
+		for i := 0; i < 1000; i++ {
+			before := s.i
+			s.fill(out, n-1)
+			if w := want.Intn(n); int(out[0]) != w {
+				t.Fatalf("seed %d: draw %d is %d, Intn(%d) %d", seed, i, out[0], n, w)
+			}
+			if (s.i-before+idLag)%idLag > 1 {
+				rejected++
+			}
+		}
+		if rejected == 0 {
+			t.Fatalf("seed %d: the rejection loop never ran", seed)
+		}
+	}
+}
+
 // countingSource counts the values drawn from a rand.Source.
 type countingSource struct {
 	rand.Source

@@ -92,9 +92,10 @@ type Options struct {
 	Progress func(Progress)
 	// Flight, if non-nil, receives flight events as the run executes: the
 	// CONGEST executors emit one event per round plus one summary per
-	// phase, the sequential replay one event per traversal wave plus one
-	// summary per boosting version and the decision stage. Purely observational —
-	// attaching a recorder never changes outputs or transcripts.
+	// phase, the sequential replay one event per search depth of each
+	// version plus one summary per boosting version and the decision
+	// stage. Purely observational — attaching a recorder never changes
+	// outputs or transcripts.
 	Flight *flight.Recorder
 }
 

@@ -80,11 +80,11 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 // pooled scratch that the replay sets and clears entry by entry — the
 // K/T kernel's dense voter index, the mark set that dedups voters and
 // holds a density check's T set when its component keeps no rows, and
-// the union of the samples that the ID walk tracks its positions in —
-// after a solve, after a search and its probes, after an
-// ErrComponentTooLarge abort that follows built components, and after
-// a cancellation, including one before the last coin pass, which
-// leaves the union unwalked. A search leaves them all-zero whether it
+// the union of the samples that the ID walk tracks its positions in,
+// and the component search's seen set — after a solve, after a search
+// and its probes, after an ErrComponentTooLarge abort that follows
+// built components, and after a cancellation, including one before the
+// last coin pass, which leaves the union unwalked. A search leaves them all-zero whether it
 // ends in a result, in ErrNotFound or canceled between probes, and so
 // does every probe's density check.
 func TestReplayScratchZeroAfterRun(t *testing.T) {
@@ -99,6 +99,9 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 		}
 		if c := scratch.union.Count(); c != 0 {
 			t.Fatalf("%s: %d union bits left set", stage, c)
+		}
+		if c := scratch.seen.Count(); c != 0 {
+			t.Fatalf("%s: %d seen bits left set", stage, c)
 		}
 		for v, p := range scratch.kt.voterPos {
 			if p != 0 {

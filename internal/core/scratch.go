@@ -6,7 +6,6 @@ import (
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/congest"
-	"nearclique/internal/frontier"
 )
 
 // seqCtxCheckEvery bounds how many sampled components the sequential
@@ -17,12 +16,12 @@ const seqCtxCheckEvery = 64
 
 // seqScratch is the reusable per-run state of the centralized replay and
 // the cached search. Its graph-sized part holds no pointers: the
-// cluster kernels' traversal scratch, the sample sets of up to
-// congest.MaxFusedVersions versions that one coin pass fills, their
-// union (the ID walk's tracked set, all-zero between runs), the mark
-// set that dedups a component's voters, the ID walk's recorded draws,
-// and the K/T kernel's dense voter index. The mark set and the voter
-// index are all-zero between components. A density check of a
+// sample sets of up to congest.MaxFusedVersions versions that one coin
+// pass fills, their union (the ID walk's tracked set, all-zero between
+// runs), the component search's seen set (all-zero between versions),
+// the mark set that dedups a component's voters, the ID walk's recorded
+// draws, and the K/T kernel's dense voter index. The mark set and the
+// voter index are all-zero between components. A density check of a
 // component without rows borrows the mark set and clears it again.
 // Batch serving solves many graphs back to back, often concurrently,
 // so the scratch lives in a sync.Pool: each in-flight run owns one
@@ -36,10 +35,11 @@ type seqScratch struct {
 	nodes  []int32        // the union's nodes, ascending, after the walk
 	ids    []int64        // their protocol IDs
 
-	fsc      *frontier.Scratch
 	samples  []*bitset.Set // per version of the running coin pass
 	union    *bitset.Set   // every pass's samples; the walk's tracked set
 	inS      *bitset.Set   // the running version's, one of samples
+	seen     *bitset.Set   // eachComponent's reached nodes
+	queue    []int         // eachComponent's running component
 	mark     *bitset.Set
 	voterBuf []int
 
@@ -47,16 +47,11 @@ type seqScratch struct {
 }
 
 // sizeFor sizes the graph-sized scratch for an n-vertex graph and a run
-// of the given versions. The union and the mark set stay all-zero
-// across runs; every coin pass overwrites the sample sets it fills.
+// of the given versions. The union, the seen set and the mark set stay
+// all-zero across runs; every coin pass overwrites the sample sets it fills.
 func (s *seqScratch) sizeFor(n, versions int) {
-	if s.fsc == nil {
-		s.fsc = frontier.NewScratch(n)
-	} else {
-		s.fsc.Ensure(n)
-	}
 	if s.mark == nil || s.mark.Len() != n {
-		s.mark, s.union = bitset.New(n), bitset.New(n)
+		s.mark, s.union, s.seen = bitset.New(n), bitset.New(n), bitset.New(n)
 		s.samples = nil
 	}
 	for len(s.samples) < min(versions, congest.MaxFusedVersions) {

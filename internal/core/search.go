@@ -45,7 +45,7 @@ type SearchOptions struct {
 	// Options.Parallelism does for one run; 0 means GOMAXPROCS.
 	Parallelism int
 	// Flight, if non-nil, receives the probes' flight events: the shared
-	// traversal's wave events on the cached path, or phase summaries from
+	// traversal's depth events on the cached path, or phase summaries from
 	// every full probe run under SearchWithRunner. Purely observational.
 	Flight *flight.Recorder
 }

@@ -15,8 +15,8 @@ import (
 // version) — a probe never draws a coin that depends on ε — so every
 // probe of the bisection shares the same samples, the same components,
 // the same voters, and the same member adjacency. SearchCachedContext
-// therefore runs the traversal ONCE (64-seed cluster floods over the
-// CSR arena, via collectComps), caches the ε-invariant state, and
+// therefore runs the traversal ONCE (one breadth-first search per
+// sampled component, via collectComps), caches the ε-invariant state, and
 // re-evaluates only the K/T thresholds and the decision stage per
 // probe; the full Result is materialized once, for the winning ε.
 // Detection and the returned Result are bit-identical to

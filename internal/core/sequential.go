@@ -7,7 +7,6 @@ import (
 
 	"nearclique/internal/congest"
 	"nearclique/internal/flight"
-	"nearclique/internal/frontier"
 	"nearclique/internal/graph"
 )
 
@@ -34,12 +33,13 @@ func FindSequential(g *graph.Graph, opts Options) (*Result, error) {
 // returned Result carries whatever sample sizes were measured before the
 // interruption, with all-⊥ labels.
 //
-// Components are discovered by 64-seed cluster floods over the CSR arena
-// (internal/frontier). With Options.Flight set, the replay emits one
-// flight.KindRound event per traversal wave — the wave's frontier
-// population and the arena entries it examined — plus one KindPhase per
-// boosting version and for the decision stage. The simulator Metrics
-// stay zero: nothing is simulated.
+// Components are discovered by one breadth-first search each over the
+// CSR arena, so a version reads only its sampled nodes' rows. With
+// Options.Flight set, the replay emits one flight.KindRound event per
+// search depth of each version — the nodes at that depth, summed over the
+// version's components, and the arena entries their rows hold — plus one
+// KindPhase per boosting version and for the decision stage. The
+// simulator Metrics stay zero: nothing is simulated.
 //
 // Per-run scratch (the ID walk's draws, the sample and traversal sets,
 // the voter index) is drawn from a package-level pool, so repeated
@@ -92,8 +92,8 @@ func newLabels(n int) []int64 {
 // (version j draws the (2j+1)-th and (2j+2)-th floats of each node's
 // stream, exactly as the distributed nodes do; one pass in the phase of
 // version 0, and of every congest.MaxFusedVersions-th version after it,
-// draws the coins of that many versions), 64-seed batched
-// component discovery, each component's voters, and — for one that can
+// draws the coins of that many versions), one breadth-first search per
+// sampled component, each component's voters, and — for one that can
 // announce — its ε-invariant K/T kernel tables. Every pass ORs its
 // samples into the union, and the last starts the Labels (if labels)
 // and the ID walk over the union beside the traversal (startRoots); a
@@ -141,17 +141,19 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 		scratch.inS = scratch.samples[k]
 		res.SampleSizes[ver] = scratch.inS.Count()
 
-		for ci, members := range frontier.Components(g, scratch.inS, scratch.fsc, ft.onWave()) {
+		ci := 0
+		err := scratch.eachComponent(g, ft, func(members []int) error {
 			if ci%seqCtxCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
-					return comps, fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
+					return fmt.Errorf("core: sequential run interrupted at version %d: %w", ver, err)
 				}
 			}
+			ci++
 			if len(members) > res.MaxComponent {
 				res.MaxComponent = len(members)
 			}
 			if len(members) > opts.MaxComponentSize {
-				return comps, fmt.Errorf("%w: %d > %d (lower the sampling probability)",
+				return fmt.Errorf("%w: %d > %d (lower the sampling probability)",
 					ErrComponentTooLarge, len(members), opts.MaxComponentSize)
 			}
 			sc := newSeqComp(members, ver)
@@ -162,6 +164,11 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 
 			visit(sc)
 			comps = append(comps, sc)
+			return nil
+		})
+		if err != nil {
+			ft.recordDepths()
+			return comps, err
 		}
 		if ver == opts.Versions-1 {
 			scratch.electRoots(comps)
@@ -213,6 +220,49 @@ func (s *seqScratch) electRoots(comps []*seqComp) {
 	}
 }
 
+// eachComponent calls visit with every component of G[s.inS] — sorted
+// ascending, in order of smallest member: graph.ComponentsOf's output —
+// until visit returns an error, and returns that error. Walking the
+// sample in ascending order, it starts one breadth-first search at each
+// node no earlier search reached, so every sampled node's row is read
+// once and a version costs O(|S| + Σ_{v∈S} deg v), never O(n). ft
+// observes each search depth. The seen set holds the reached nodes the
+// walk has not passed yet, so it is all-zero again on return, failed or
+// not. members is s.queue, valid until visit returns.
+func (s *seqScratch) eachComponent(g *graph.Graph, ft *flightTrace, visit func(members []int) error) error {
+	var err error
+	s.inS.ForEach(func(v int) {
+		if s.seen.Contains(v) {
+			s.seen.Remove(v)
+			return
+		}
+		if err != nil {
+			return
+		}
+		q := append(s.queue[:0], v)
+		s.seen.Add(v)
+		for head, depth := 0, 0; head < len(q); depth++ {
+			first, examined := head, int64(0)
+			for end := len(q); head < end; head++ {
+				row := g.Neighbors(q[head])
+				examined += int64(len(row))
+				for _, w := range row {
+					if u := int(w); s.inS.Contains(u) && !s.seen.Contains(u) {
+						s.seen.Add(u)
+						q = append(q, u)
+					}
+				}
+			}
+			ft.depth(depth, head-first, examined)
+		}
+		s.seen.Remove(v)
+		slices.Sort(q)
+		s.queue = q
+		err = visit(q)
+	})
+	return err
+}
+
 // gatherVoters returns a component's voters: its members plus every
 // unsampled neighbor of a member — exactly the tree nodes and claimants
 // of the distributed protocol — sorted ascending, the order the K/T
@@ -254,39 +304,34 @@ type seqComp struct {
 }
 
 // flightTrace adapts the flight recorder to the replay's event stream:
-// one KindRound per traversal wave (Frontier = wave population, Frames =
-// arena entries examined, Bytes = the 4-byte targets those loads moved),
-// one KindPhase per boosting version plus the decision stage, with heap
-// deltas sampled only at phase boundaries like every other engine. A nil
-// *flightTrace is valid and free: every method no-ops, so the hot path
-// carries no recorder branches of its own.
+// one KindRound per breadth-first search depth of each version (Frontier
+// = the nodes at that depth, summed over the version's components, Frames
+// = the arena entries their rows hold, Bytes = the 4-byte targets those
+// loads moved), one KindPhase per boosting version plus the decision
+// stage, with heap deltas sampled only at phase boundaries like every
+// other engine. Summing over components keeps a version's events at its
+// search depth, at most HardMaxComponentSize, however many components it
+// samples. A nil *flightTrace is valid and free: every method no-ops, so
+// the hot path carries no recorder branches of its own.
 type flightTrace struct {
 	rec    *flight.Recorder
 	heap   int64
 	ord    int32
-	rounds int64 // cumulative wave index across the run
-	phaseW int64 // waves within the current phase
-	waveFn func(pop int, examined int64)
+	rounds int64        // cumulative depth index across the run
+	depths []depthCount // the running phase's, by depth
+}
+
+// depthCount sums one search depth over a version's components.
+type depthCount struct {
+	nodes    int
+	examined int64
 }
 
 func newFlightTrace(rec *flight.Recorder) *flightTrace {
 	if rec == nil {
 		return nil
 	}
-	ft := &flightTrace{rec: rec, heap: flight.HeapBytes(), ord: -1}
-	ft.waveFn = func(pop int, examined int64) {
-		ft.rounds++
-		ft.phaseW++
-		ft.rec.Record(flight.Event{
-			Kind:     flight.KindRound,
-			Phase:    ft.ord,
-			Round:    ft.rounds,
-			Frontier: int32(pop),
-			Frames:   examined,
-			Bytes:    4 * examined,
-		})
-	}
-	return ft
+	return &flightTrace{rec: rec, heap: flight.HeapBytes(), ord: -1}
 }
 
 func (ft *flightTrace) begin(name string) {
@@ -294,27 +339,55 @@ func (ft *flightTrace) begin(name string) {
 		return
 	}
 	ft.ord = ft.rec.BeginPhase(name)
-	ft.phaseW = 0
+	ft.depths = ft.depths[:0]
 }
 
+// depth adds depth d of one component's search: the nodes at it and the
+// arena entries their rows hold.
+func (ft *flightTrace) depth(d, nodes int, examined int64) {
+	if ft == nil {
+		return
+	}
+	if d == len(ft.depths) {
+		ft.depths = append(ft.depths, depthCount{})
+	}
+	ft.depths[d].nodes += nodes
+	ft.depths[d].examined += examined
+}
+
+// end records the running phase's depth events and then the phase
+// itself.
 func (ft *flightTrace) end(frontierSize int) {
 	if ft == nil {
 		return
 	}
+	ft.recordDepths()
 	now := flight.HeapBytes()
 	ft.rec.Record(flight.Event{
 		Kind:      flight.KindPhase,
 		Phase:     ft.ord,
-		Round:     ft.phaseW,
+		Round:     int64(len(ft.depths)),
 		Frontier:  int32(frontierSize),
 		HeapDelta: now - ft.heap,
 	})
 	ft.heap = now
 }
 
-func (ft *flightTrace) onWave() func(pop int, examined int64) {
+// recordDepths records one KindRound per depth of the running phase: at
+// its end, or where a failure ends the run inside it.
+func (ft *flightTrace) recordDepths() {
 	if ft == nil {
-		return nil
+		return
 	}
-	return ft.waveFn
+	for i, d := range ft.depths {
+		ft.rec.Record(flight.Event{
+			Kind:     flight.KindRound,
+			Phase:    ft.ord,
+			Round:    ft.rounds + int64(i) + 1,
+			Frontier: int32(d.nodes),
+			Frames:   d.examined,
+			Bytes:    4 * d.examined,
+		})
+	}
+	ft.rounds += int64(len(ft.depths))
 }

@@ -18,7 +18,6 @@ var transcriptScope = []string{
 	"internal/core",
 	"internal/refine",
 	"internal/graph",
-	"internal/frontier",
 	"internal/shadow",
 }
 

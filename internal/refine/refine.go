@@ -6,7 +6,6 @@ import (
 
 	"nearclique/internal/bitset"
 	"nearclique/internal/congest"
-	"nearclique/internal/frontier"
 	"nearclique/internal/graph"
 )
 
@@ -48,50 +47,10 @@ type Refined struct {
 type Refiner struct {
 	g     *graph.Graph
 	cores []int32
-	// pools maps a seed vertex to its prefetched neighbor row (see
-	// Prime); content-identical to g.Neighbors, so hits change fetch
-	// cost, never refined output.
-	pools map[int][]int32
 }
 
 // New returns a Refiner over g.
 func New(g *graph.Graph) *Refiner { return &Refiner{g: g} }
-
-// Prime prefetches the grow-pool seed neighborhoods for a batch of
-// candidates (each a sorted member list, as Result.Candidates carry
-// them) through one frontier.Neighborhoods sweep: with several
-// candidates, one 64-seed batched pass over the CSR arena replaces one
-// row walk per candidate. It is purely a fetch strategy — the prefetched
-// rows are content-identical to g.Neighbors, so Candidate's output is
-// bit-identical whether or not Prime ran (pinned by the refine goldens).
-// With fewer than two non-empty candidates it is a no-op: a single row
-// walk is already optimal.
-func (r *Refiner) Prime(ctx context.Context, candidates [][]int) error {
-	seeds := make([]int, 0, len(candidates))
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, members := range candidates {
-		if len(members) == 0 {
-			continue
-		}
-		if r.cores == nil {
-			r.cores = r.g.CoreNumbers()
-		}
-		seeds = append(seeds, r.seedVertex(members))
-	}
-	if len(seeds) < 2 {
-		return nil
-	}
-	rows := frontier.Neighborhoods(r.g, seeds)
-	if r.pools == nil {
-		r.pools = make(map[int][]int32, len(seeds))
-	}
-	for i, s := range seeds {
-		r.pools[s] = rows[i]
-	}
-	return nil
-}
 
 // seedVertex returns the member with the highest core number; members
 // are sorted ascending, so "first maximum" is the smallest-index
@@ -104,15 +63,6 @@ func (r *Refiner) seedVertex(members []int) int {
 		}
 	}
 	return v
-}
-
-// neighbors returns v's neighbor row, from the primed pool when one was
-// prefetched and straight from the graph otherwise.
-func (r *Refiner) neighbors(v int) []int32 {
-	if row, ok := r.pools[v]; ok {
-		return row
-	}
-	return r.g.Neighbors(v)
 }
 
 // Candidate refines one committed candidate. members must be sorted
@@ -171,7 +121,7 @@ func (r *Refiner) Candidate(ctx context.Context, label int64, members []int, spe
 	if !inPool.Contains(v) {
 		extras = append(extras, v)
 	}
-	for _, w := range r.neighbors(v) {
+	for _, w := range g.Neighbors(v) {
 		if !inPool.Contains(int(w)) {
 			extras = append(extras, int(w))
 		}

@@ -27,10 +27,10 @@ const (
 	EngineAuto Engine = iota
 	// EngineSequential is the centralized replay (core.FindSequential):
 	// identical outputs, no message simulation, the fastest and lightest
-	// option. Components are discovered by 64-seed cluster floods over
-	// the CSR arena and each component's voters are gathered from its
+	// option. Each sampled component is found by one breadth-first
+	// search over the CSR arena and its voters are gathered from its
 	// members' rows alone; with a flight recorder attached it emits one
-	// round event per traversal wave. Search runs that traversal once and
+	// round event per search depth of each version. Search runs that traversal once and
 	// re-evaluates only the ε-dependent thresholds per probe
 	// (core.SearchCachedContext), since the sampling coins never depend
 	// on ε.
@@ -455,19 +455,6 @@ func (s *Solver) applyRefine(ctx context.Context, g *Graph, res *Result, opts co
 	spec := *s.cfg.refine
 	refined := make([]RefinedCandidate, len(res.Candidates))
 	r := refine.New(g)
-	// Batch the candidates' grow-pool seed neighborhoods through one
-	// frontier sweep before the per-candidate loop: with several
-	// committed candidates one pull pass over the arena replaces one
-	// row walk per candidate. Purely a fetch strategy — Prime returns
-	// content-identical neighbor lists, so refined output is unchanged
-	// (pinned by the refine goldens).
-	pools := make([][]int, len(res.Candidates))
-	for i, c := range res.Candidates {
-		pools[i] = c.Members
-	}
-	if err := r.Prime(ctx, pools); err != nil {
-		return fmt.Errorf("nearclique: refinement aborted: %w", err)
-	}
 	moves, bestSize, bestDensity := 0, 0, 0.0
 	for i, c := range res.Candidates {
 		ref, err := r.Candidate(ctx, c.Label, c.Members, spec, opts.Epsilon, opts.Seed, i)
