@@ -82,9 +82,9 @@ func refinedTranscript(res *nearclique.Result) string {
 // baseTranscript canonicalizes the protocol output (labels + candidates),
 // deliberately excluding metrics so engines with different cost profiles
 // can be compared.
-func baseTranscript(res *nearclique.Result) string {
+func baseTranscript(res *nearclique.Result, n int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "labels=%v samples=%v\n", res.Labels, res.SampleSizes)
+	fmt.Fprintf(&b, "labels=%v samples=%v\n", labelsOf(res, n), res.SampleSizes)
 	for _, c := range res.Candidates {
 		fmt.Fprintf(&b, "cand label=%d members=%v density=%.9f\n", c.Label, c.Members, c.Density)
 	}
@@ -139,7 +139,7 @@ func TestConformancePlantedCliqueGuarantees(t *testing.T) {
 
 				// 2. Refinement is a pure post-pass: the refined run's
 				// protocol output is bit-identical to the unrefined one.
-				if a, b := baseTranscript(base), baseTranscript(refined); a != b {
+				if a, b := baseTranscript(base, tc.planted.Graph.N()), baseTranscript(refined, tc.planted.Graph.N()); a != b {
 					t.Errorf("%s: WithRefine changed the base transcript:\n%s\nvs\n%s", name, a, b)
 				}
 
@@ -168,7 +168,7 @@ func TestConformancePlantedCliqueGuarantees(t *testing.T) {
 
 				// 4. Engine-independence: base and refined output are
 				// bit-identical across all three engines.
-				gotBase, gotRefined := baseTranscript(base), refinedTranscript(refined)
+				gotBase, gotRefined := baseTranscript(base, tc.planted.Graph.N()), refinedTranscript(refined)
 				if wantBase == "" {
 					wantBase, wantRefined = gotBase, gotRefined
 				} else {
@@ -200,7 +200,7 @@ func TestConformanceRefinedBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		res := solveConformance(t, fmt.Sprintf("procs%d", procs), tc,
 			nearclique.EngineSharded, 3, &refineSpec)
-		got := baseTranscript(res) + refinedTranscript(res)
+		got := baseTranscript(res, tc.planted.Graph.N()) + refinedTranscript(res)
 		if want == "" {
 			want = got
 		} else if got != want {

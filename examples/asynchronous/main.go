@@ -73,8 +73,8 @@ func run(w io.Writer) error {
 	}
 
 	same := true
-	for i := range syncRes.Labels {
-		if syncRes.Labels[i] != asyncRes.Labels[i] {
+	for v := 0; v < inst.Graph.N(); v++ {
+		if syncRes.Label(v) != asyncRes.Label(v) {
 			same = false
 			break
 		}

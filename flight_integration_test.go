@@ -67,7 +67,7 @@ func TestFlightTranscriptsIdenticalAcrossEngines(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/par=%d: recorder-on solve: %v", key, par, err)
 				}
-				if a, b := goldenTranscript(off), goldenTranscript(on); a != b {
+				if a, b := goldenTranscript(off, g.N()), goldenTranscript(on, g.N()); a != b {
 					t.Errorf("%s/par=%d: transcript differs with recorder attached:\noff:\n%s\non:\n%s", key, par, a, b)
 				}
 				if rec.Offered() == 0 {
@@ -137,7 +137,7 @@ func TestFlightSolveBatchSharedRecorder(t *testing.T) {
 	}
 
 	for i := range graphs {
-		if a, b := goldenTranscript(off[i]), goldenTranscript(on[i]); a != b {
+		if a, b := goldenTranscript(off[i], graphs[i].N()), goldenTranscript(on[i], graphs[i].N()); a != b {
 			t.Errorf("graph %d: batch transcript differs with shared recorder:\noff:\n%s\non:\n%s", i, a, b)
 		}
 	}

@@ -200,6 +200,11 @@ func (s *Set) check(i int) {
 	}
 }
 
+// SetWord sets the wi-th backing word of s (bits [64·wi, 64·wi+64)) to
+// w, for a pass that fills 64 nodes at a time (the sampling coins). Bits
+// of w at or past Len() must be zero.
+func (s *Set) SetWord(wi int, w uint64) { s.words[wi] = w }
+
 func (s *Set) sameLen(t *Set) {
 	if s.n != t.n {
 		panic(fmt.Sprintf("bitset: length mismatch %d vs %d", s.n, t.n))

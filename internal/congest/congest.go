@@ -483,11 +483,6 @@ func (c *Context) Degree() int { return c.net.g.Degree(int(c.idx)) }
 // do not modify.
 func (c *Context) Neighbors() []int32 { return c.net.g.Neighbors(int(c.idx)) }
 
-// NeighborID returns the protocol ID of a neighbor (nodes know their
-// neighbors' IDs after one implicit exchange, a standard assumption; the
-// protocols in this repository only use it where the paper does).
-func (c *Context) NeighborID(v NodeID) int64 { return c.net.ids[v] }
-
 // Rand returns this node's private deterministic RNG: a counter-based
 // stream addressed by (seed, node) alone — O(1) memory, no warm-up, and
 // identical at any worker count and on every engine (see rng.go).

@@ -17,12 +17,14 @@ func defaultOpts(seed int64) Options {
 // equalResults compares everything except Metrics.
 func equalResults(t *testing.T, a, b *Result, ctx string) {
 	t.Helper()
-	if len(a.Labels) != len(b.Labels) {
-		t.Fatalf("%s: label lengths %d vs %d", ctx, len(a.Labels), len(b.Labels))
-	}
-	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] {
-			t.Fatalf("%s: label[%d] = %d vs %d", ctx, i, a.Labels[i], b.Labels[i])
+	// Only a member of some candidate can carry a label.
+	for _, r := range []*Result{a, b} {
+		for _, c := range r.Candidates {
+			for _, v := range c.Members {
+				if la, lb := a.Label(v), b.Label(v); la != lb {
+					t.Fatalf("%s: Label(%d) = %d vs %d", ctx, v, la, lb)
+				}
+			}
 		}
 	}
 	if len(a.Candidates) != len(b.Candidates) {
@@ -202,9 +204,9 @@ func TestLabelsConsistentWithCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromLabels := map[int64][]int{}
-	for i, l := range res.Labels {
-		if l != NoLabel {
-			fromLabels[l] = append(fromLabels[l], i)
+	for v := 0; v < g.N(); v++ {
+		if l := res.Label(v); l != NoLabel {
+			fromLabels[l] = append(fromLabels[l], v)
 		}
 	}
 	if len(fromLabels) != len(res.Candidates) {
@@ -294,9 +296,9 @@ func TestMaxRoundsAborts(t *testing.T) {
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("err = %v, want ErrRoundLimit", err)
 	}
-	for i, l := range res.Labels {
-		if l != NoLabel {
-			t.Fatalf("node %d has label %d after abort", i, l)
+	for v := 0; v < g.N(); v++ {
+		if l := res.Label(v); l != NoLabel {
+			t.Fatalf("node %d has label %d after abort", v, l)
 		}
 	}
 	if res.Metrics.Rounds != 3 {
@@ -329,8 +331,8 @@ func TestMinSizeFilters(t *testing.T) {
 	if len(res.Candidates) != 0 {
 		t.Fatalf("MinSize=100 still produced %d candidates", len(res.Candidates))
 	}
-	for _, l := range res.Labels {
-		if l != NoLabel {
+	for v := 0; v < g.N(); v++ {
+		if res.Label(v) != NoLabel {
 			t.Fatal("labels assigned despite MinSize filter")
 		}
 	}

@@ -155,11 +155,11 @@ func committed(sc *seqComp, acked int32) bool {
 // decideAndCommit runs the decision stage over the collected components
 // of all versions through their ballot b: every voter acks its best
 // adjacent candidate and aborts the rest; a candidate commits iff no
-// adjacent voter aborted; committed members receive their labels, each
-// candidate its density (seqComp.density, with x's buffers and set as
-// scratch), and the sorted candidate list is stored in res. The acks
-// are counts per component index, so the stage is deterministic
-// regardless of component or voter visit order.
+// adjacent voter aborted; each committed candidate takes its label, its
+// members (the T set, ascending) and its density (seqComp.density, with
+// x's buffers and set as scratch), and the sorted candidate list is
+// stored in res. The acks are counts per component index, so the stage
+// is deterministic regardless of component or voter visit order.
 func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, res *Result, x *ktScratch, set *bitset.Set) {
 	acked := make([]int32, len(comps))
 	b.count(comps, acked)
@@ -173,7 +173,6 @@ func decideAndCommit(g *graph.Graph, opts Options, comps []*seqComp, b *ballot, 
 		membersOut := make([]int, 0, sc.size) // the announced |T|
 		for i, u := range sc.voters {
 			if sc.inT(i, sc.bStar) {
-				res.Labels[u] = label
 				membersOut = append(membersOut, u)
 			}
 		}

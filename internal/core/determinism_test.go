@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ import (
 func resultTranscript(res *Result, includeMetrics bool) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "labels=%v\nsamples=%v\nmaxcomp=%d\n",
-		res.Labels, res.SampleSizes, res.MaxComponent)
+		labeledNodes(res), res.SampleSizes, res.MaxComponent)
 	for _, c := range res.Candidates {
 		fmt.Fprintf(&b, "cand label=%d ver=%d members=%v x=%v density=%.9f\n",
 			c.Label, c.Version, c.Members, c.SubsetX, c.Density)
@@ -40,6 +41,21 @@ func resultTranscript(res *Result, includeMetrics bool) string {
 		}
 	}
 	return b.String()
+}
+
+// labeledNodes lists the nodes res labels, ascending, as node:label pairs
+// read through Label: the output registers other than ⊥.
+func labeledNodes(res *Result) []string {
+	var nodes []int
+	for _, c := range res.Candidates {
+		nodes = append(nodes, c.Members...)
+	}
+	slices.Sort(nodes)
+	out := make([]string, len(nodes))
+	for i, v := range nodes {
+		out[i] = fmt.Sprintf("%d:%d", v, res.Label(v))
+	}
+	return out
 }
 
 func determinismInstances() map[string]*graph.Graph {
@@ -147,9 +163,9 @@ func TestFindContextCancelDeterministicPartialMetrics(t *testing.T) {
 		if !errors.Is(errA, context.Canceled) || !errors.Is(errB, context.Canceled) {
 			t.Fatalf("Parallelism %d: want wrapped context.Canceled, got %v / %v", par, errA, errB)
 		}
-		for i, l := range res.Labels {
-			if l != NoLabel {
-				t.Fatalf("Parallelism %d: node %d labeled %d in an aborted run", par, i, l)
+		for v := 0; v < g.N(); v++ {
+			if l := res.Label(v); l != NoLabel {
+				t.Fatalf("Parallelism %d: node %d labeled %d in an aborted run", par, v, l)
 			}
 		}
 		if len(res.Metrics.Phases) == 0 || res.Metrics.Rounds == 0 {
@@ -169,7 +185,7 @@ func TestFindContextCancelDeterministicPartialMetrics(t *testing.T) {
 // TestFindSequentialCancelBetweenVersions pins the sequential engine's
 // cancellation points: the Progress hook after version 0 cancels, version
 // 1 never runs, and the partial result still carries version 0's sample
-// size and n all-⊥ labels, at Parallelism 1 and 2.
+// size and every node's Label is ⊥, at Parallelism 1 and 2.
 func TestFindSequentialCancelBetweenVersions(t *testing.T) {
 	g := gen.PlantedNearClique(400, 120, 0.01, 0.02, 5).Graph
 	for _, par := range []int{1, 2} {
@@ -192,11 +208,8 @@ func TestFindSequentialCancelBetweenVersions(t *testing.T) {
 		if res.SampleSizes[1] != 0 || res.SampleSizes[2] != 0 {
 			t.Fatalf("Parallelism %d: versions after the cancellation point ran: %v", par, res.SampleSizes)
 		}
-		if len(res.Labels) != g.N() {
-			t.Fatalf("Parallelism %d: %d labels for %d nodes", par, len(res.Labels), g.N())
-		}
-		for v, l := range res.Labels {
-			if l != NoLabel {
+		for v := 0; v < g.N(); v++ {
+			if l := res.Label(v); l != NoLabel {
 				t.Fatalf("Parallelism %d: node %d labeled %d in a canceled run", par, v, l)
 			}
 		}

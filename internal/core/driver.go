@@ -36,12 +36,19 @@ func Find(g *graph.Graph, opts Options) (*Result, error) {
 // a million-node instance returns within one round's worth of work. The
 // error then wraps context.Canceled or context.DeadlineExceeded
 // (errors.Is-visible), and the returned Result carries the metrics of
-// every round completed before the interruption with all-⊥ labels, like
-// the paper's abort wrapper.
+// every round completed before the interruption and no candidates, so
+// every node's Label is ⊥, like the paper's abort wrapper.
 func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+	res, _, err := find(ctx, g, opts)
+	return res, err
+}
+
+// find is FindContext that also returns the driver, whose nodes hold the
+// output registers that Result.Label reads back from the candidates.
+func find(ctx context.Context, g *graph.Graph, opts Options) (*Result, *driver, error) {
 	opts, err := opts.validated(g.N())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d := &driver{g: g, opts: opts}
 	frameBits := congest.DefaultFrameBits(g.N())
@@ -53,7 +60,7 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, er
 	if need := d.wire.minFrameBits(maxK); need > frameBits {
 		// Cannot happen with the default budget and admissible component
 		// caps, but guard custom configurations explicitly.
-		return nil, fmt.Errorf("core: frame budget %d bits below the %d required", frameBits, need)
+		return nil, nil, fmt.Errorf("core: frame budget %d bits below the %d required", frameBits, need)
 	}
 	d.nodes = make([]*node, g.N())
 	d.net = congest.NewNetwork(g, congest.Options{
@@ -70,14 +77,11 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, er
 		return nd
 	})
 
-	res := &Result{
-		Labels:      newLabels(g.N()),
-		SampleSizes: make([]int, opts.Versions),
-	}
+	res := &Result{SampleSizes: make([]int, opts.Versions)}
 
-	abort := func(err error) (*Result, error) {
+	abort := func(err error) (*Result, *driver, error) {
 		res.Metrics = d.net.Metrics()
-		return res, err
+		return res, d, err
 	}
 
 	explorationPhases := []int{
@@ -129,13 +133,9 @@ func FindContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, er
 		report(-1, phaseNames[ph])
 	}
 
-	// Extract outputs.
-	for i, nd := range d.nodes {
-		res.Labels[i] = nd.label
-	}
-	res.Candidates = finalizeCandidates(g, d.collectCandidates(res.Labels), bitset.New(g.N()), workers(opts.Parallelism))
+	res.Candidates = finalizeCandidates(g, d.collectCandidates(), bitset.New(g.N()), workers(opts.Parallelism))
 	res.Metrics = d.net.Metrics()
-	return res, nil
+	return res, d, nil
 }
 
 func (d *driver) sampleSize(v int) int {
@@ -159,9 +159,12 @@ func (d *driver) largestComponent(v int) int {
 	return max
 }
 
-// collectCandidates scans committed roots and groups members by label.
-func (d *driver) collectCandidates(labels []int64) []Candidate {
+// collectCandidates lists the committed roots' candidates and then
+// groups the nodes into them by label register in one ascending pass,
+// so every candidate's members come out sorted.
+func (d *driver) collectCandidates() []Candidate {
 	var cands []Candidate
+	byLabel := map[int64]int{}
 	for _, nd := range d.nodes {
 		for v, vs := range nd.vers {
 			if vs == nil || !vs.inS || vs.parent != noParent {
@@ -172,18 +175,17 @@ func (d *driver) collectCandidates(labels []int64) []Candidate {
 				continue
 			}
 			label := cv.rootID*int64(d.opts.Versions) + int64(v)
-			var members []int
-			for i, l := range labels {
-				if l == label {
-					members = append(members, i)
-				}
-			}
+			byLabel[label] = len(cands)
 			cands = append(cands, Candidate{
 				Label:   label,
 				Version: v,
-				Members: members,
 				SubsetX: decodeSubset(cv.members, cv.bStar),
 			})
+		}
+	}
+	for i, nd := range d.nodes {
+		if ci, ok := byLabel[nd.label]; ok {
+			cands[ci].Members = append(cands[ci].Members, i)
 		}
 	}
 	return cands

@@ -226,7 +226,7 @@ func TestRowKernelMatchesEntryKernel(t *testing.T) {
 		}
 		scratch := getSeqScratch()
 		res := &Result{SampleSizes: make([]int, opts.Versions)}
-		cs, err := collectComps(context.Background(), g, opts, scratch, nil, res, false, func(*seqComp) {})
+		cs, err := collectComps(context.Background(), g, opts, scratch, nil, res, func(*seqComp) {})
 		putSeqScratch(scratch)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -321,7 +321,7 @@ func TestUpperFillMatchesFullRows(t *testing.T) {
 			}
 			scratch := getSeqScratch()
 			res := &Result{SampleSizes: make([]int, opts.Versions)}
-			comps, err := collectComps(context.Background(), g, opts, scratch, nil, res, false, func(*seqComp) {})
+			comps, err := collectComps(context.Background(), g, opts, scratch, nil, res, func(*seqComp) {})
 			putSeqScratch(scratch)
 			if err != nil {
 				t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nearclique/internal/bitset"
@@ -173,10 +174,9 @@ type Candidate struct {
 
 // Result is the output of a run.
 type Result struct {
-	// Labels holds each node's output register: a candidate Label or
-	// NoLabel (⊥). Nodes with equal labels are in the same near-clique.
-	Labels []int64
-	// Candidates are the committed near-cliques, largest first.
+	// Candidates are the committed near-cliques, largest first. They are
+	// disjoint, since every voter acks one candidate, so they hold every
+	// node's output register: see Label.
 	Candidates []Candidate
 	// SampleSizes is |S| per boosting version.
 	SampleSizes []int
@@ -199,6 +199,19 @@ func (r *Result) Best() *Candidate {
 		return nil
 	}
 	return &r.Candidates[0]
+}
+
+// Label returns node v's output register: the Label of the committed
+// candidate whose Members contain v, or NoLabel (⊥). Nodes with equal
+// labels are in the same near-clique. It costs O(log |Members|) per
+// candidate; a failed run commits none, so every node reads ⊥.
+func (r *Result) Label(v int) int64 {
+	for i := range r.Candidates {
+		if _, ok := slices.BinarySearch(r.Candidates[i].Members, v); ok {
+			return r.Candidates[i].Label
+		}
+	}
+	return NoLabel
 }
 
 // finalizeCandidates fills the candidates' densities, each summed in up

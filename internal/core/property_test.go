@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -77,7 +78,7 @@ func TestPropertyInvariants(t *testing.T) {
 					t.Fatalf("trial %d: node %d in two candidates", trial, m)
 				}
 				seen.Add(m)
-				if dist.Labels[m] != c.Label {
+				if dist.Label(m) != c.Label {
 					t.Fatalf("trial %d: label mismatch at node %d", trial, m)
 				}
 				if i > 0 && c.Members[i-1] >= m {
@@ -98,11 +99,63 @@ func TestPropertyInvariants(t *testing.T) {
 			}
 		}
 		// Labels not covered by candidates must be ⊥.
-		for v, l := range dist.Labels {
-			if l != NoLabel && !seen.Contains(v) {
+		for v := 0; v < g.N(); v++ {
+			if l := dist.Label(v); l != NoLabel && !seen.Contains(v) {
 				t.Fatalf("trial %d: node %d labeled %d but in no candidate", trial, v, l)
 			}
 		}
+	}
+}
+
+// TestPropertyLabelReadsCommittedCandidates checks the output registers
+// that Result.Label reads from the committed candidates, over random
+// instances, on the replay and on the sharded and async simulators: the
+// candidates are disjoint, Label(v) is the label of the one candidate
+// whose Members contain v (⊥ for a node in none), and it equals node v's
+// label register as the simulated protocol left it.
+func TestPropertyLabelReadsCommittedCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	labeled := 0
+	for trial := 0; trial < 30; trial++ {
+		g, opts := randomInstance(rng)
+		async := opts
+		async.Async, async.AsyncMaxDelay = true, 4
+		sharded, sd, errS := find(context.Background(), g, opts)
+		asyncRes, ad, errA := find(context.Background(), g, async)
+		seq, errQ := FindSequential(g, opts)
+		if errS != nil || errA != nil || errQ != nil {
+			continue // component cap: every engine aborts alike (TestPropertyInvariants)
+		}
+		for _, e := range []struct {
+			name string
+			res  *Result
+			d    *driver // the registers: the replay's are the sharded run's
+		}{{"replay", seq, sd}, {"sharded", sharded, sd}, {"async", asyncRes, ad}} {
+			owner := make([]int64, g.N())
+			for v := range owner {
+				owner[v] = NoLabel
+			}
+			for _, c := range e.res.Candidates {
+				for _, v := range c.Members {
+					if owner[v] != NoLabel {
+						t.Fatalf("trial %d %s: node %d in candidates %d and %d", trial, e.name, v, owner[v], c.Label)
+					}
+					owner[v] = c.Label
+					labeled++
+				}
+			}
+			for v, want := range owner {
+				if got := e.res.Label(v); got != want {
+					t.Fatalf("trial %d %s: Label(%d) = %d, its candidate's is %d", trial, e.name, v, got, want)
+				}
+				if reg := e.d.nodes[v].label; reg != want {
+					t.Fatalf("trial %d %s: node %d's register holds %d, Label reads %d", trial, e.name, v, reg, want)
+				}
+			}
+		}
+	}
+	if labeled == 0 {
+		t.Fatal("no trial committed a candidate; the check would be vacuous")
 	}
 }
 

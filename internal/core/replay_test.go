@@ -38,7 +38,7 @@ func TestGatherVotersMatchesModel(t *testing.T) {
 			}
 			scratch := getSeqScratch()
 			res := &Result{SampleSizes: make([]int, opts.Versions)}
-			_, err = collectComps(context.Background(), g, opts, scratch, nil, res, false, func(sc *seqComp) {
+			_, err = collectComps(context.Background(), g, opts, scratch, nil, res, func(sc *seqComp) {
 				if c := scratch.mark.Count(); c != 0 {
 					t.Fatalf("%s seed %d: %d mark bits left set after a component", name, seed, c)
 				}
@@ -122,7 +122,7 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := &Result{SampleSizes: make([]int, opts.Versions)}
-	comps, err := collectComps(ctx, g, opts, scratch, nil, res, true, func(sc *seqComp) {
+	comps, err := collectComps(ctx, g, opts, scratch, nil, res, func(sc *seqComp) {
 		sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 	})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 
 	opts.MaxComponentSize = 6 // seed 1 builds six components, then meets one of seven
 	res = &Result{SampleSizes: make([]int, opts.Versions)}
-	comps, err = collectComps(ctx, g, opts, scratch, nil, res, false, func(*seqComp) {})
+	comps, err = collectComps(ctx, g, opts, scratch, nil, res, func(*seqComp) {})
 	if !errors.Is(err, ErrComponentTooLarge) {
 		t.Fatalf("abort: err %v, want ErrComponentTooLarge", err)
 	}
@@ -179,16 +179,16 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	many := opts
 	many.Versions, many.MaxComponentSize = 65, DefaultMaxComponentSize
 	res = &Result{SampleSizes: make([]int, many.Versions)}
-	_, err = collectComps(&cancelAfter{live: 1}, g, many, scratch, nil, res, true, func(*seqComp) {})
+	_, err = collectComps(&cancelAfter{live: 1}, g, many, scratch, nil, res, func(*seqComp) {})
 	if !errors.Is(err, context.Canceled) || res.SampleSizes[0] == 0 {
 		t.Fatalf("canceled in version 0 of 65: err %v, sample %d", err, res.SampleSizes[0])
 	}
 	zero("canceled before the last coin pass")
 
-	// On two workers the Labels fill, the ID draws and the walk run on
-	// a worker of their own from the last coin pass on. A run canceled
-	// at its first component, and one aborted by its first component of
-	// two nodes, return while that worker is most likely still at work:
+	// On two workers the ID draws and the walk run on a worker of their
+	// own from the last coin pass on. A run canceled at its first
+	// component, and one aborted by its first component of two nodes,
+	// return while that worker is most likely still at work:
 	// each must join it, so the solve that follows on the same scratch
 	// — whose own worker rewrites the draws — races with nothing (under
 	// -race) and elects the roots a fresh solve elects.
@@ -203,7 +203,7 @@ func TestReplayScratchZeroAfterRun(t *testing.T) {
 	}
 	solve := func(stage string, ctx context.Context, opts Options) (*Result, []*seqComp, error) {
 		res := &Result{SampleSizes: make([]int, opts.Versions)}
-		comps, err := collectComps(ctx, big, opts, scratch, nil, res, true, func(sc *seqComp) {
+		comps, err := collectComps(ctx, big, opts, scratch, nil, res, func(sc *seqComp) {
 			sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 		})
 		if err == nil {
@@ -278,7 +278,7 @@ func TestElectRootsMatchPermutedIDs(t *testing.T) {
 				}
 				scratch := getSeqScratch()
 				res := &Result{SampleSizes: make([]int, versions)}
-				comps, err := collectComps(context.Background(), inst.g, opts, scratch, nil, res, false, func(*seqComp) {})
+				comps, err := collectComps(context.Background(), inst.g, opts, scratch, nil, res, func(*seqComp) {})
 				putSeqScratch(scratch)
 				if err != nil {
 					t.Fatalf("n=%d versions=%d par=%d: %v", n, versions, par, err)
@@ -311,12 +311,13 @@ func TestElectRootsMatchPermutedIDs(t *testing.T) {
 }
 
 // TestFailedReplayLabelsAllBottom pins the failure contract of a solve
-// whose Labels the roots worker may make: canceled before its first
-// coin pass, canceled after version 0, or aborted by
-// ErrComponentTooLarge, a run returns n all-⊥ labels and an all-zero
-// union, at Parallelism 1 and 2, with the worker started (3 versions,
-// one coin pass) and not yet started (65 versions, whose second pass
-// never runs). A run that fails before its last coin pass never walks.
+// whose roots worker may be running: canceled before its first coin
+// pass, canceled after version 0, or aborted by ErrComponentTooLarge, a
+// run commits nothing, so Label reads ⊥ for every node, and leaves an
+// all-zero union, at Parallelism 1 and 2, with the worker started (3
+// versions, one coin pass) and not yet started (65 versions, whose
+// second pass never runs). A run that fails before its last coin pass
+// never walks.
 func TestFailedReplayLabelsAllBottom(t *testing.T) {
 	g, base := parallelInstance()
 	if parts(g.N(), 2) < 2 {
@@ -358,16 +359,13 @@ func TestFailedReplayLabelsAllBottom(t *testing.T) {
 				}
 				scratch := new(seqScratch)
 				res := &Result{SampleSizes: make([]int, versions)}
-				_, err = collectComps(ctx, g, opts, scratch, nil, res, true, func(*seqComp) {})
+				_, err = collectComps(ctx, g, opts, scratch, nil, res, func(*seqComp) {})
 				stage := fmt.Sprintf("versions=%d par=%d %s", versions, par, c.name)
 				if !errors.Is(err, c.want) {
 					t.Fatalf("%s: err %v, want %v", stage, err, c.want)
 				}
-				if len(res.Labels) != g.N() {
-					t.Fatalf("%s: %d labels for %d nodes", stage, len(res.Labels), g.N())
-				}
-				for v, l := range res.Labels {
-					if l != NoLabel {
+				for v := 0; v < g.N(); v++ {
+					if l := res.Label(v); l != NoLabel {
 						t.Fatalf("%s: node %d labeled %d", stage, v, l)
 					}
 				}
@@ -386,11 +384,10 @@ func TestFailedReplayLabelsAllBottom(t *testing.T) {
 	scratch.sizeFor(g.N(), 1)
 	scratch.union.Add(0)
 	scratch.failed.Store(true)
-	res := &Result{}
-	scratch.startRoots(g.N(), 1, res, true, true)
+	scratch.startRoots(g.N(), 1, true)
 	scratch.worker.Wait()
-	if len(res.Labels) != g.N() || scratch.nodes != nil {
-		t.Fatalf("worker started after a failure: %d labels, walked %v", len(res.Labels), scratch.nodes != nil)
+	if scratch.nodes != nil {
+		t.Fatal("a worker started after a failure walked the union")
 	}
 }
 
@@ -532,9 +529,9 @@ func replayInstance() (*graph.Graph, Options) {
 // TestSolveReplayAllocsPerNode pins the replay's allocation budget: once
 // the scratch pool is warm, a solve on the n = 2e5 planted instance
 // allocates at most 32 bytes per node, serially on one P and on two
-// workers at GOMAXPROCS 2. The Labels output alone is 8; everything else
-// graph-sized — coins, IDs, traversal and mark sets, the histogram
-// workers' buffers — is pooled.
+// workers at GOMAXPROCS 2. Everything graph-sized — coins, IDs,
+// traversal and mark sets, the histogram workers' buffers — is pooled,
+// and the Result holds only the committed candidates.
 func TestSolveReplayAllocsPerNode(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	g, opts := replayInstance()
@@ -560,6 +557,44 @@ func TestSolveReplayAllocsPerNode(t *testing.T) {
 		if perNode > 32 {
 			t.Fatalf("GOMAXPROCS=%d Parallelism=%d: a solve allocates %.1f B/node, want ≤ 32", row.procs, row.par, perNode)
 		}
+	}
+}
+
+// TestSolveReplayAllocsFlatInN pins the bytes a warm FindSequential
+// allocates per solve to the answer, not to n: on planted instances of
+// n = 2e4 and 8e4 nodes at the same expected sample size (the same
+// 600-node planted set, average degree 10), the mean over 8 seeds at 4n
+// stays within 1.5× of that at n, where a single n-entry array of int64
+// would add 480 KB. The pooled scratch is graph-sized, so each size
+// warms its own first; -race builds drop pooled items at random, so
+// the test does not run there.
+func TestSolveReplayAllocsFlatInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const size, seeds = 600, 8
+	perSolve := func(n int) float64 {
+		g := gen.SparsePlantedNearClique(n, size, 0.25*0.25*0.25, 10, 1).Graph
+		opts := Options{Epsilon: 0.25, ExpectedSample: 2 * 20_000.0 / size}
+		solveAll := func() {
+			for i := int64(1); i <= seeds; i++ {
+				opts.Seed = i
+				if _, err := FindSequential(g, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		solveAll() // warm-up: the pool and the kernel buffers reach their size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		solveAll()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / seeds
+	}
+	small, large := perSolve(20_000), perSolve(80_000)
+	t.Logf("bytes per solve: %.0f at n = 2e4, %.0f at n = 8e4", small, large)
+	if large > 1.5*small {
+		t.Fatalf("a solve allocates %.0f B at n = 8e4, %.0f B at n = 2e4: the allocation grows with n", large, small)
 	}
 }
 

@@ -135,7 +135,7 @@ func buildSearchCache(ctx context.Context, g *graph.Graph, so SearchOptions, nee
 	}
 	c := &searchCache{g: g, opts: opts, need: need, kt: &scratch.kt, ft: newFlightTrace(so.Flight)}
 	res := &Result{SampleSizes: make([]int, opts.Versions)}
-	comps, err := collectComps(ctx, g, opts, scratch, c.ft, res, false, func(*seqComp) {})
+	comps, err := collectComps(ctx, g, opts, scratch, c.ft, res, func(*seqComp) {})
 	c.sampleSizes, c.maxComponent = res.SampleSizes, res.MaxComponent
 	if err != nil {
 		if errors.Is(err, ErrComponentTooLarge) {
@@ -212,13 +212,12 @@ func (c *searchCache) density(ci int) float64 {
 	return c.comps[ci].density(c.g, c.kt, c.set, workers(c.opts.Parallelism))
 }
 
-// materialize builds the winning ε's full Result — labels, finalized
+// materialize builds the winning ε's full Result — finalized
 // candidates, sample sizes — through the same decideAndCommit every
 // engine runs, so it is bit-identical to what a full probe at that ε
 // returns.
 func (c *searchCache) materialize(eps float64) *Result {
 	res := &Result{
-		Labels:       newLabels(c.g.N()),
 		SampleSizes:  append([]int(nil), c.sampleSizes...),
 		MaxComponent: c.maxComponent,
 	}

@@ -31,7 +31,7 @@ func FindSequential(g *graph.Graph, opts Options) (*Result, error) {
 // components, the units of work of the centralized replay. On cancellation
 // the error wraps context.Canceled or context.DeadlineExceeded and the
 // returned Result carries whatever sample sizes were measured before the
-// interruption, with all-⊥ labels.
+// interruption and no candidates, so every node's Label is ⊥.
 //
 // Components are discovered by one breadth-first search each over the
 // CSR arena, so a version reads only its sampled nodes' rows. With
@@ -57,7 +57,7 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 	defer putSeqScratch(scratch)
 
 	ft := newFlightTrace(opts.Flight)
-	comps, err := collectComps(ctx, g, opts, scratch, ft, res, true, func(sc *seqComp) {
+	comps, err := collectComps(ctx, g, opts, scratch, ft, res, func(sc *seqComp) {
 		sc.finish(opts.Epsilon, opts.MinSize, &scratch.kt)
 	})
 	if err != nil {
@@ -79,15 +79,6 @@ func FindSequentialContext(ctx context.Context, g *graph.Graph, opts Options) (*
 	return res, nil
 }
 
-// newLabels returns n all-⊥ labels.
-func newLabels(n int) []int64 {
-	labels := make([]int64, n)
-	for i := range labels {
-		labels[i] = NoLabel
-	}
-	return labels
-}
-
 // collectComps runs the ε-invariant half of a replay: the sampling coins
 // (version j draws the (2j+1)-th and (2j+2)-th floats of each node's
 // stream, exactly as the distributed nodes do; one pass in the phase of
@@ -95,13 +86,13 @@ func newLabels(n int) []int64 {
 // draws the coins of that many versions), one breadth-first search per
 // sampled component, each component's voters, and — for one that can
 // announce — its ε-invariant K/T kernel tables. Every pass ORs its
-// samples into the union, and the last starts the Labels (if labels)
-// and the ID walk over the union beside the traversal (startRoots); a
-// failed run skips the walk and returns all-⊥ Labels. visit observes each
+// samples into the union, and the last starts the ID walk over the
+// union beside the traversal (startRoots); a failed run skips the walk
+// and commits no candidate, so every node reads ⊥. visit observes each
 // component in transcript order — the solve finishes thresholds there,
 // the search cache defers them to its probes. Shared so that a solve
 // and a search probe provably traverse identically.
-func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, labels bool, visit func(sc *seqComp)) (comps []*seqComp, err error) {
+func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *seqScratch, ft *flightTrace, res *Result, visit func(sc *seqComp)) (comps []*seqComp, err error) {
 	n := g.N()
 	par := workers(opts.Parallelism)
 	scratch.sizeFor(n, opts.Versions)
@@ -110,9 +101,6 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 		scratch.worker.Wait()
 		scratch.failed.Store(false)
 		scratch.union.Clear() // all-zero already unless the run never walked
-		if err != nil && labels && res.Labels == nil {
-			res.Labels = newLabels(n)
-		}
 	}()
 
 	p1 := opts.P / 2
@@ -135,7 +123,7 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 				scratch.union.Union(set)
 			}
 			if ver+congest.MaxFusedVersions >= opts.Versions {
-				scratch.startRoots(n, opts.Seed, res, labels, parts(n, par) > 1)
+				scratch.startRoots(n, opts.Seed, parts(n, par) > 1)
 			}
 		}
 		scratch.inS = scratch.samples[k]
@@ -184,15 +172,12 @@ func collectComps(ctx context.Context, g *graph.Graph, opts Options, scratch *se
 	return comps, nil
 }
 
-// startRoots makes all-⊥ res.Labels if labels, records the ID draws,
-// and walks the union unless the run has failed by then, leaving the
-// IDs in s.nodes and s.ids: on a worker of its own if ahead, inline
-// otherwise. It reads and writes nothing the traversal touches.
-func (s *seqScratch) startRoots(n int, seed int64, res *Result, labels, ahead bool) {
+// startRoots records the ID draws and walks the union unless the run
+// has failed by then, leaving the IDs in s.nodes and s.ids: on a worker
+// of its own if ahead, inline otherwise. It reads and writes nothing the
+// traversal touches.
+func (s *seqScratch) startRoots(n int, seed int64, ahead bool) {
 	roots := func() {
-		if labels {
-			res.Labels = newLabels(n)
-		}
 		s.walk.Record(n, seed)
 		if !s.failed.Load() {
 			s.nodes, s.ids = s.walk.Walk(s.union)

@@ -26,9 +26,13 @@ import (
 // full per-phase simulator metrics.
 func canonResult(res *core.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "labels=%v\nsamples=%v\nmaxcomp=%d\n",
-		res.Labels, res.SampleSizes, res.MaxComponent)
+	fmt.Fprintf(&b, "samples=%v\nmaxcomp=%d\n", res.SampleSizes, res.MaxComponent)
 	for _, c := range res.Candidates {
+		for _, v := range c.Members {
+			if l := res.Label(v); l != c.Label {
+				fmt.Fprintf(&b, "node %d of candidate %d reads label %d\n", v, c.Label, l)
+			}
+		}
 		fmt.Fprintf(&b, "cand label=%d ver=%d members=%v x=%v density=%.9f\n",
 			c.Label, c.Version, c.Members, c.SubsetX, c.Density)
 	}

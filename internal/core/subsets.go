@@ -12,10 +12,6 @@ import "math/bits"
 // by bitmask b ∈ [1, 2^k): X_b = { m[i] : bit i of b set }. Index 0 (the
 // empty set) is excluded; see DESIGN.md §2.
 
-// subsetCount returns the number of indexed subsets for a component of
-// size k: 2^k − 1.
-func subsetCount(k int) int { return (1 << uint(k)) - 1 }
-
 // kMemberCounts computes, for every subset index b ∈ [0, 2^k), the number
 // of members of X_b adjacent to a node, given adj[i] = whether the node is
 // adjacent to member i. Runs in O(2^k) via the standard lowest-bit DP.

@@ -152,12 +152,6 @@ func TestDecodeSubset(t *testing.T) {
 	}
 }
 
-func TestSubsetCount(t *testing.T) {
-	if subsetCount(0) != 0 || subsetCount(1) != 1 || subsetCount(4) != 15 {
-		t.Fatal("subsetCount wrong")
-	}
-}
-
 func TestPopcount(t *testing.T) {
 	for b := 0; b < 256; b++ {
 		if popcount(b) != bits.OnesCount(uint(b)) {
@@ -197,7 +191,7 @@ func TestWireSizes(t *testing.T) {
 			w.announce(int32(n-1), 7, int64(n-1), int32(n)),
 			w.vote(int32(n-1), 7, true),
 			w.voteUp(int32(n-1), 7, false),
-			w.commit(maxK, int32(n-1), 7, int32(subsetCount(maxK))),
+			w.commit(maxK, int32(n-1), 7, int32(1<<maxK-1)),
 		}
 		if need := w.minFrameBits(maxK); need > budget {
 			t.Fatalf("n=%d: minFrameBits %d exceeds budget %d", n, need, budget)

@@ -55,9 +55,9 @@ func RunE11(cfg Config) []Table {
 			if err != nil {
 				continue
 			}
-			same := len(syncRes.Labels) == len(asyncRes.Labels)
-			for i := range syncRes.Labels {
-				if syncRes.Labels[i] != asyncRes.Labels[i] {
+			same := true
+			for v := 0; v < n; v++ {
+				if syncRes.Label(v) != asyncRes.Label(v) {
 					same = false
 					break
 				}

@@ -257,7 +257,7 @@ func RunE9(cfg Config) []Table {
 			}
 			labels := make([]int64, 0, len(inst.B))
 			for _, v := range inst.B {
-				labels = append(labels, res.Labels[v])
+				labels = append(labels, res.Label(v))
 			}
 			vs.bLabels = append(vs.bLabels, labels)
 		}

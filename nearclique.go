@@ -131,8 +131,8 @@ func LoadGraph(path string) (*Graph, func() error, error) { return graphio.Load(
 // as opposed to size-cap violations, which wrap ErrInputTooLarge.
 var ErrBadSnapshot = graphio.ErrSnapshot
 
-// Result is the output of a run: per-node labels, the committed
-// near-cliques, sample sizes, and simulator metrics.
+// Result is the output of a run: the committed near-cliques, from which
+// Label reads any node's output, sample sizes, and simulator metrics.
 type Result = core.Result
 
 // Candidate is one reported near-clique.

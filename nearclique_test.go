@@ -76,8 +76,8 @@ func TestFacadeSequentialMatchesDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Labels {
-		if a.Labels[i] != b.Labels[i] {
+	for i := 0; i < g.N(); i++ {
+		if a.Label(i) != b.Label(i) {
 			t.Fatalf("label %d differs", i)
 		}
 	}

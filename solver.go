@@ -407,9 +407,9 @@ func (s *Solver) Engine() Engine { return s.cfg.engine }
 // engine between versions and components, so even million-node runs stop
 // within one round's worth of work. On cancellation the error wraps
 // context.Canceled or context.DeadlineExceeded and the returned Result
-// carries the metrics accumulated so far with all-⊥ labels, mirroring the
-// paper's abort wrapper (likewise for ErrRoundLimit and
-// ErrComponentTooLarge).
+// carries the metrics accumulated so far and no candidates, so every
+// node's Label is ⊥, mirroring the paper's abort wrapper (likewise for
+// ErrRoundLimit and ErrComponentTooLarge).
 func (s *Solver) Solve(ctx context.Context, g *Graph) (*Result, error) {
 	return s.solve(ctx, g, s.cfg.opts)
 }

@@ -82,8 +82,8 @@ func TestSolverIsReusableAndDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range a.Labels {
-			if a.Labels[v] != b.Labels[v] {
+		for v := 0; v < g.N(); v++ {
+			if a.Label(v) != b.Label(v) {
 				t.Fatalf("repeat %d: label %d differs", i, v)
 			}
 		}
